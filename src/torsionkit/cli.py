@@ -11,6 +11,7 @@ an internal consistency fault.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -126,7 +127,13 @@ def _positive(name: str):
     return convert
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The torsionkit argument parser, built once and shared by every call.
+
+    Building it costs about as much as a small decision, so it is cached;
+    callers may parse with it but must not add to it.
+    """
     parser = argparse.ArgumentParser(
         prog="torsionkit",
         description=(

@@ -2,14 +2,24 @@
 
 Everything here is immutable and pure: multiplication, binary powering
 (exponents may be huge integers, e.g. factorials), Horner evaluation of a
-polynomial at a matrix, and minimal polynomial extraction by exact Gaussian
-elimination. No floating point anywhere.
+polynomial at a matrix, and minimal polynomial extraction by exact
+fraction-free elimination. No floating point anywhere.
+
+Entries are :class:`~fractions.Fraction` at every interface, but the hot
+loops run on plain integers: a row or column is scaled by the lcm of its
+denominators, the arithmetic is done on the numerators, and each result
+entry becomes a Fraction once, at the end. Tuples on these paths are built
+from lists, never from generators: CPython grows a generator-built tuple
+from a 10-slot buffer and parks the freed small tuples on per-size free
+lists, which only a full garbage collection empties.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .errors import InternalConsistencyError
@@ -34,10 +44,10 @@ class RatMatrix:
         if isinstance(rows, RatMatrix):
             object.__setattr__(self, "rows", rows.rows)
             return
-        grid = tuple(
-            tuple(e if isinstance(e, Fraction) else Fraction(e) for e in row)
+        grid = tuple([
+            tuple([e if isinstance(e, Fraction) else Fraction(e) for e in row])
             for row in rows
-        )
+        ])
         d = len(grid)
         if d == 0:
             raise ValueError("matrix order must be at least 1")
@@ -47,6 +57,13 @@ class RatMatrix:
                     f"matrix must be square: {d} rows but row {i} has {len(row)} entries"
                 )
         object.__setattr__(self, "rows", grid)
+
+    @classmethod
+    def _wrap(cls, rows: tuple[tuple[Fraction, ...], ...]) -> RatMatrix:
+        """Adopt rows already known to be square tuples of Fractions."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        return m
 
     @property
     def order(self) -> int:
@@ -123,7 +140,7 @@ class RatMatrix:
 
     def flatten(self) -> tuple[Fraction, ...]:
         """Entries in row-major order, for linear-algebra over the d*d space."""
-        return tuple(e for row in self.rows for e in row)
+        return tuple([e for row in self.rows for e in row])
 
     def __str__(self) -> str:
         cells = [[str(e) for e in row] for row in self.rows]
@@ -156,18 +173,32 @@ class RatMatrix:
         return cls(rows)
 
 
+def _scaled(entries: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers n and a scale s >= 1 with entries[i] == n[i] / s, s minimal."""
+    s = math.lcm(*[e.denominator for e in entries])
+    if s == 1:
+        return [e.numerator for e in entries], 1
+    return [e.numerator * (s // e.denominator) for e in entries], s
+
+
 def mat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    """Exact matrix product; orders must match."""
+    """Exact matrix product; orders must match.
+
+    Each row of a and column of b is scaled to integers, so an entry costs
+    one integer dot product and one Fraction normalization.
+    """
     if a.order != b.order:
         raise ValueError(f"order mismatch: {a.order} vs {b.order}")
-    d = a.order
-    bcols = tuple(tuple(b.rows[k][j] for k in range(d)) for j in range(d))
-    return RatMatrix(
-        [
-            [sum(x * y for x, y in zip(row, col)) for col in bcols]
-            for row in a.rows
-        ]
-    )
+    cols = [_scaled(col) for col in zip(*b.rows)]
+    out = []
+    for row, ra in [_scaled(row) for row in a.rows]:
+        entries = []
+        for col, cb in cols:
+            dot = sum(map(mul, row, col))
+            den = ra * cb
+            entries.append(Fraction(dot) if den == 1 else Fraction(dot, den))
+        out.append(tuple(entries))
+    return RatMatrix._wrap(tuple(out))
 
 
 def mat_pow(m: RatMatrix, e: int) -> RatMatrix:
@@ -190,17 +221,23 @@ def mat_pow(m: RatMatrix, e: int) -> RatMatrix:
 
 
 def horner_matrix_eval(p: RatPoly, m: RatMatrix) -> RatMatrix:
-    """p(M) by Horner's scheme: deg(p) products and scalar additions.
+    """p(M) by Horner's scheme: one product per coefficient.
+
+    Each nonzero coefficient is added straight onto the diagonal.
 
     >>> horner_matrix_eval(RatPoly([-1, 0, 1]), RatMatrix([[0, -1], [1, 0]]))
     RatMatrix([[-2, 0], [0, -2]])
     """
-    d = m.order
-    acc = RatMatrix.zeros(d)
+    acc = RatMatrix.zeros(m.order)
     for c in reversed(p.coeffs):
         acc = mat_mul(acc, m)
         if c:
-            acc = acc + RatMatrix.scalar(d, c)
+            rows = []
+            for i, row in enumerate(acc.rows):
+                entries = list(row)
+                entries[i] += c
+                rows.append(tuple(entries))
+            acc = RatMatrix._wrap(tuple(rows))
     return acc
 
 
@@ -208,38 +245,45 @@ def minimal_polynomial(m: RatMatrix) -> RatPoly:
     """The monic generator of all polynomials that vanish at M.
 
     Flattens I, M, M^2, ... into vectors of length d*d and looks for the
-    first linear dependence by incremental exact Gaussian elimination. The
-    reduction of each new power tracks the combination of powers it came
-    from, so the dependence coefficients fall out directly, already monic.
-    A dependence must appear by degree d; not finding one means the
+    first linear dependence by incremental fraction-free elimination. Each
+    power M^k enters as an integer vector s*M^k with the combination
+    s*z^k; reducing it against an echelon row b at pivot p replaces it by
+    b[p]*v - v[p]*b, and the combination alongside, then divides both by
+    their common content. When the vector vanishes its combination is a
+    multiple of the minimal polynomial, made monic once at the end. A
+    dependence must appear by degree d; not finding one means the
     arithmetic is broken and raises loudly.
 
     >>> minimal_polynomial(RatMatrix([[1, 0], [0, 2]]))
     RatPoly('z^2 - 3*z + 2')
     """
     d = m.order
-    size = d * d
-    # Echelon rows found so far: (pivot position, reduced vector, combo)
-    # where combo holds coefficients over the powers contributed so far.
-    basis: list[tuple[int, list[Fraction], list[Fraction]]] = []
+    # Echelon rows found so far: (pivot position, vector, combo), where
+    # vector == sum(combo[i] * flatten(M^i)) and vector is zero at every
+    # earlier pivot.
+    basis: list[tuple[int, list[int], list[int]]] = []
     power = RatMatrix.identity(d)
     for k in range(d + 1):
-        vec = list(power.flatten())
-        combo = [Fraction(0)] * (k + 1)
-        combo[k] = Fraction(1)
+        vec, scale = _scaled([e for row in power.rows for e in row])
+        combo = [0] * (k + 1)
+        combo[k] = scale
         for pivot, bvec, bcombo in basis:
             factor = vec[pivot]
             if factor:
-                for i in range(size):
-                    vec[i] -= factor * bvec[i]
-                for i, c in enumerate(bcombo):
-                    combo[i] -= factor * c
+                bp = bvec[pivot]
+                vec = [bp * x - factor * y for x, y in zip(vec, bvec)]
+                # bcombo is shorter: it came from an earlier power.
+                tail = [bp * x for x in combo[len(bcombo):]]
+                combo = [bp * x - factor * y for x, y in zip(combo, bcombo)]
+                combo += tail
+                g = math.gcd(*vec, *combo)
+                if g != 1:
+                    vec = [x // g for x in vec]
+                    combo = [x // g for x in combo]
         lead = next((i for i, x in enumerate(vec) if x), None)
         if lead is None:
-            return RatPoly(combo)
-        inv = 1 / vec[lead]
-        vec = [x * inv for x in vec]
-        combo = [c * inv for c in combo]
+            top = combo[k]
+            return RatPoly([Fraction(c, top) for c in combo])
         basis.append((lead, vec, combo))
         if k < d:
             power = mat_mul(power, m)

@@ -86,7 +86,7 @@ class RatPoly:
         if isinstance(coeffs, RatPoly):
             object.__setattr__(self, "coeffs", coeffs.coeffs)
             return
-        cs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
+        cs = tuple([c if isinstance(c, Fraction) else Fraction(c) for c in coeffs])
         end = len(cs)
         while end and cs[end - 1] == 0:
             end -= 1
@@ -147,7 +147,7 @@ class RatPoly:
     __radd__ = __add__
 
     def __neg__(self) -> RatPoly:
-        return RatPoly(tuple(-c for c in self.coeffs))
+        return RatPoly([-c for c in self.coeffs])
 
     def __sub__(self, other) -> RatPoly:
         o = self._coerce(other)
@@ -223,7 +223,7 @@ class RatPoly:
 
     def derivative(self) -> RatPoly:
         """Formal derivative; drops the degree by one for nonconstant input."""
-        return RatPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
+        return RatPoly([i * c for i, c in enumerate(self.coeffs) if i])
 
     def monic(self) -> RatPoly:
         if not self.coeffs:
@@ -231,7 +231,7 @@ class RatPoly:
         lead = self.coeffs[-1]
         if lead == 1:
             return self
-        return RatPoly(tuple(c / lead for c in self.coeffs))
+        return RatPoly([c / lead for c in self.coeffs])
 
     def shifted(self, k: int) -> RatPoly:
         """Multiply by z**k."""
@@ -251,8 +251,8 @@ class RatPoly:
 
     def clear_denominators(self) -> IntPoly:
         """Scale by the lcm of all denominators, yielding an integer polynomial."""
-        den = math.lcm(*(c.denominator for c in self.coeffs)) if self.coeffs else 1
-        return IntPoly(tuple(int(c * den) for c in self.coeffs))
+        den = math.lcm(*[c.denominator for c in self.coeffs]) if self.coeffs else 1
+        return IntPoly([int(c * den) for c in self.coeffs])
 
     def to_data(self) -> list[int | str]:
         """Text form: low-to-high list of exact ints or "p/q" strings."""
@@ -264,7 +264,10 @@ class RatPoly:
         for item in data:
             if isinstance(item, bool) or isinstance(item, float):
                 raise ValueError(f"non-exact polynomial coefficient: {item!r}")
-            out.append(Fraction(item))
+            try:
+                out.append(Fraction(item))
+            except (TypeError, ZeroDivisionError):
+                raise ValueError(f"malformed polynomial coefficient: {item!r}") from None
         return cls(out)
 
 
@@ -281,7 +284,7 @@ class IntPoly:
         if isinstance(coeffs, IntPoly):
             object.__setattr__(self, "coeffs", coeffs.coeffs)
             return
-        cs = tuple(operator.index(c) for c in coeffs)
+        cs = tuple([operator.index(c) for c in coeffs])
         end = len(cs)
         while end and cs[end - 1] == 0:
             end -= 1
@@ -335,7 +338,7 @@ class IntPoly:
         return IntPoly(out)
 
     def __neg__(self) -> IntPoly:
-        return IntPoly(tuple(-c for c in self.coeffs))
+        return IntPoly([-c for c in self.coeffs])
 
     def __sub__(self, other: IntPoly) -> IntPoly:
         if not isinstance(other, IntPoly):
@@ -369,7 +372,7 @@ class IntPoly:
         return result
 
     def derivative(self) -> IntPoly:
-        return IntPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
+        return IntPoly([i * c for i, c in enumerate(self.coeffs) if i])
 
     def shifted(self, k: int) -> IntPoly:
         k = operator.index(k)
@@ -423,7 +426,7 @@ class IntPoly:
         content = math.gcd(*self.coeffs)
         sign = -1 if self.coeffs[-1] < 0 else 1
         scale = sign * content
-        return sign, content, IntPoly(tuple(c // scale for c in self.coeffs))
+        return sign, content, IntPoly([c // scale for c in self.coeffs])
 
     def primitive(self) -> IntPoly:
         """Primitive part with positive leading coefficient."""

@@ -62,17 +62,51 @@ class TorsionCertificate:
 
     @classmethod
     def from_data(cls, doc: dict) -> TorsionCertificate:
+        """Read a JSON certificate document, refusing anything but exact types.
+
+        ``torsion`` must be a JSON boolean, the counts JSON integers (not
+        booleans, not floats) of the right sign, and ``J`` and ``mu`` arrays.
+        Every defect raises ValueError.
+        """
+        if not isinstance(doc, dict):
+            raise ValueError("certificate document must be a JSON object")
         try:
-            torsion = bool(doc["torsion"])
-            d = int(doc["d"])
-            k = int(doc["k"])
-            preperiod = int(doc["preperiod"])
-            mu = RatPoly.from_data(doc["mu"])
-            J = frozenset(int(j) for j in doc["J"]) if torsion else None
-            period = int(doc["period"]) if torsion else None
+            torsion = doc["torsion"]
+            if not isinstance(torsion, bool):
+                raise ValueError(
+                    f"certificate field 'torsion' must be true or false, got {torsion!r}"
+                )
+            d = _count_field(doc, "d", 1)
+            k = _count_field(doc, "k", 0)
+            preperiod = _count_field(doc, "preperiod", 0)
+            mu = doc["mu"]
+            if not isinstance(mu, list):
+                raise ValueError("certificate field 'mu' must be an array")
+            mu = RatPoly.from_data(mu)
+            J = period = None
+            if torsion:
+                J = doc["J"]
+                if not isinstance(J, list) or not all(_is_count(j, 1) for j in J):
+                    raise ValueError("certificate field 'J' must be an array of positive integers")
+                J = frozenset(J)
+                period = _count_field(doc, "period", 1)
         except KeyError as missing:
             raise ValueError(f"certificate document lacks field {missing}") from None
         return cls(torsion, d, k, J, preperiod, period, mu)
+
+
+def _is_count(value, least: int) -> bool:
+    # bool is a subclass of int, and JSON true must not read as 1.
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+def _count_field(doc: dict, name: str, least: int) -> int:
+    value = doc[name]
+    if not _is_count(value, least):
+        raise ValueError(
+            f"certificate field {name!r} must be an integer >= {least}, got {value!r}"
+        )
+    return value
 
 
 def decide_torsion_annihilation(m: RatMatrix, faithful: bool = False) -> bool:
@@ -165,6 +199,13 @@ def verify_certificate(m: RatMatrix, c: TorsionCertificate) -> VerifyOutcome:
         return VerifyOutcome(False, "degree exceeds order")
     if c.preperiod != c.k:
         return VerifyOutcome(False, "preperiod mismatch")
+    # The rebuilt annihilator has degree k + sum(phi(j)) and deg(mu) <= d,
+    # so a claim with k > d, some phi(j) > d or a wrong degree sum is refused
+    # before anything is built. phi(j) >= sqrt(j/2) puts every j > 2*d*d out
+    # of reach without factoring it.
+    d = m.order
+    if any(j > 2 * d * d for j in c.J) or c.k + sum(totient(j) for j in c.J) != c.mu.degree:
+        return VerifyOutcome(False, "mu mismatch")
     rebuilt = RatPoly.one().shifted(c.k)
     for j in sorted(c.J):
         rebuilt = rebuilt * cyclotomic(j).to_rational()
@@ -182,7 +223,7 @@ def verify_certificate(m: RatMatrix, c: TorsionCertificate) -> VerifyOutcome:
 def _canonical_key(m: RatMatrix) -> tuple[str, ...]:
     # Fractions are kept reduced with positive denominators, so their string
     # forms are canonical and safe as table keys.
-    return tuple(str(e) for row in m.rows for e in row)
+    return tuple([str(e) for row in m.rows for e in row])
 
 
 def oracle_cycle_detect(m: RatMatrix, cap: int) -> tuple[int, int] | None:

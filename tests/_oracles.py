@@ -31,6 +31,57 @@ def euclid_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
     return a.monic()
 
 
+def textbook_mat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    """Row-times-column product with a Fraction sum for every entry."""
+    d = a.order
+    return RatMatrix(
+        [
+            [sum((a[i, k] * b[k, j] for k in range(d)), Fraction(0)) for j in range(d)]
+            for i in range(d)
+        ]
+    )
+
+
+def textbook_minimal_polynomial(m: RatMatrix) -> RatPoly:
+    """First linear dependence among I, M, M^2, ... by Fraction elimination.
+
+    Each power is reduced against unit-pivot echelon rows while tracking the
+    combination of powers it came from; the first power that reduces to zero
+    gives the monic minimal polynomial.
+    """
+    d = m.order
+    basis = []
+    power = RatMatrix.identity(d)
+    for k in range(d + 1):
+        vec = [power[i, j] for i in range(d) for j in range(d)]
+        combo = [Fraction(0)] * k + [Fraction(1)]
+        for pivot, bvec, bcombo in basis:
+            factor = vec[pivot]
+            vec = [x - factor * y for x, y in zip(vec, bvec)]
+            for i, c in enumerate(bcombo):
+                combo[i] -= factor * c
+        lead = next((i for i, x in enumerate(vec) if x), None)
+        if lead is None:
+            return RatPoly(combo)
+        inv = 1 / vec[lead]
+        basis.append((lead, [x * inv for x in vec], [c * inv for c in combo]))
+        power = textbook_mat_mul(power, m)
+    raise AssertionError(f"no dependence among the first {d + 1} powers")
+
+
+def textbook_eval(p: RatPoly, m: RatMatrix) -> RatMatrix:
+    """p(M) as the sum of c_i * M^i, powers by repeated textbook products."""
+    d = m.order
+    total = [[Fraction(0)] * d for _ in range(d)]
+    power = RatMatrix.identity(d)
+    for c in p.coeffs:
+        for i in range(d):
+            for j in range(d):
+                total[i][j] += c * power[i, j]
+        power = textbook_mat_mul(power, m)
+    return RatMatrix(total)
+
+
 def determinant(m: RatMatrix) -> Fraction:
     """Exact determinant by fraction Gaussian elimination."""
     d = m.order

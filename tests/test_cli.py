@@ -221,3 +221,31 @@ class TestExitCodes:
     def test_directory_as_matrix_is_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "decide", str(tmp_path))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "field, value", [("torsion", "false"), ("d", 2.9), ("J", "12")]
+    )
+    def test_malformed_certificate_is_2(self, capsys, tmp_path, field, value):
+        # Each of these once read as a valid certificate for diag(-1, 1).
+        doc = {"torsion": True, "d": 2, "k": 0, "J": [1, 2], "preperiod": 0,
+               "period": 2, "mu": [-1, 0, 1]}
+        doc[field] = value
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            capsys, "verify", "[[-1,0],[0,1]]", "--certificate", str(cert_path)
+        )
+        assert code == 2 and out == ""
+        assert field in err and "Traceback" not in err
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_shared_parser_keeps_requests_apart(self, capsys):
+        _, out, _ = run_cli(capsys, "decide", "--faithful", "[[0,1],[-1,0]]")
+        assert out == '{"torsion": true}\n'
+        code, out, _ = run_cli(capsys, "decide", "[[0,1],[-1,0]]")
+        assert code == 0
+        assert json.loads(out) == {"torsion": True, "preperiod": 0, "period": 4}

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import torsionkit.matrices as matrices_module
 from torsionkit.matrices import (
     RatMatrix,
     block_diag,
@@ -19,7 +20,13 @@ from torsionkit.matrices import (
 )
 from torsionkit.polynomials import RatPoly
 
-from _oracles import conjugate, unimodular_pair
+from _oracles import (
+    conjugate,
+    textbook_eval,
+    textbook_mat_mul,
+    textbook_minimal_polynomial,
+    unimodular_pair,
+)
 
 ROTATION = RatMatrix([[0, -1], [1, 0]])
 NILPOTENT = RatMatrix([[0, 1], [0, 0]])
@@ -41,6 +48,37 @@ def square_matrices(max_order: int = 3):
 
 
 small_polys = st.builds(RatPoly, st.lists(small_entries, max_size=4))
+
+
+# Zeros, signs and unlike denominators, so that the integer kernels' row
+# and column scales differ from entry to entry.
+mixed_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=1),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+)
+
+
+def mixed_matrices(max_order: int = 5):
+    return st.integers(min_value=1, max_value=max_order).flatmap(
+        lambda d: st.builds(
+            RatMatrix,
+            st.lists(
+                st.lists(mixed_entries, min_size=d, max_size=d),
+                min_size=d,
+                max_size=d,
+            ),
+        )
+    )
+
+
+@st.composite
+def matrix_pairs(draw):
+    d = draw(st.integers(min_value=1, max_value=5))
+    grid = st.lists(
+        st.lists(mixed_entries, min_size=d, max_size=d), min_size=d, max_size=d
+    )
+    return RatMatrix(draw(grid)), RatMatrix(draw(grid))
 
 
 @st.composite
@@ -85,6 +123,23 @@ class TestMul:
     def test_order_mismatch_rejected(self):
         with pytest.raises(ValueError):
             mat_mul(RatMatrix([[1]]), RatMatrix.identity(2))
+
+    @given(matrix_pairs())
+    @settings(max_examples=80)
+    def test_matches_textbook_product(self, pair):
+        a, b = pair
+        product = mat_mul(a, b)
+        assert product == textbook_mat_mul(a, b)
+        assert type(product.rows) is tuple
+        assert all(type(row) is tuple and len(row) == a.order for row in product.rows)
+        assert all(type(e) is Fraction for row in product.rows for e in row)
+
+    def test_mixed_denominators_pinned(self):
+        a = RatMatrix([[Fraction(1, 2), Fraction(-1, 3)], [0, Fraction(5, 6)]])
+        b = RatMatrix([[Fraction(3, 4), 0], [Fraction(-2, 5), 7]])
+        assert mat_mul(a, b) == RatMatrix(
+            [[Fraction(61, 120), Fraction(-7, 3)], [Fraction(-1, 3), Fraction(35, 6)]]
+        )
 
     @given(matrix_triples())
     @settings(max_examples=40)
@@ -141,6 +196,26 @@ class TestHorner:
         rhs = mat_mul(horner_matrix_eval(p, m), horner_matrix_eval(q, m))
         assert lhs == rhs
 
+    @given(small_polys, mixed_matrices(max_order=4))
+    @settings(max_examples=40)
+    def test_matches_textbook_sum_of_powers(self, p, m):
+        assert horner_matrix_eval(p, m) == textbook_eval(p, m)
+
+    def test_one_product_per_coefficient(self, monkeypatch):
+        calls = []
+
+        def counting_mat_mul(a, b):
+            calls.append(1)
+            return mat_mul(a, b)
+
+        monkeypatch.setattr(matrices_module, "mat_mul", counting_mat_mul)
+        m = RatMatrix([[Fraction(1, 2), 1], [-1, 0]])
+        for p in (RatPoly([5]), RatPoly([0, 1]), RatPoly([1, 0, 0, 0, 0, 0, -1]),
+                  RatPoly([Fraction(1, 3), 0, 2, 0, 0, 1])):
+            calls.clear()
+            horner_matrix_eval(p, m)
+            assert len(calls) == p.degree + 1
+
     @given(small_polys, small_polys, square_matrices(2))
     @settings(max_examples=40)
     def test_additive(self, p, q, m):
@@ -166,6 +241,25 @@ class TestMinimalPolynomial:
         assert 1 <= mu.degree <= m.order
         assert mu.lead() == 1
         assert horner_matrix_eval(mu, m).is_zero()
+
+    @given(mixed_matrices())
+    @settings(max_examples=60)
+    def test_matches_textbook_elimination(self, m):
+        mu = minimal_polynomial(m)
+        assert mu.lead() == 1
+        assert textbook_eval(mu, m).is_zero()
+        assert mu == textbook_minimal_polynomial(m)
+        assert all(type(c) is Fraction for c in mu.coeffs)
+
+    @given(mixed_matrices(max_order=2), mixed_matrices(max_order=1))
+    @settings(max_examples=40)
+    def test_repeated_blocks_drop_the_degree(self, a, b):
+        # diag(A, A, B) has a minimal polynomial of degree at most
+        # order(A) + 1, well below its order; the elimination must find it.
+        m = block_diag(a, a, b)
+        mu = minimal_polynomial(m)
+        assert mu.degree <= a.order + 1
+        assert mu == textbook_minimal_polynomial(m)
 
     @given(square_matrices(), st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=25)

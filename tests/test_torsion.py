@@ -5,8 +5,9 @@ from random import Random
 
 import pytest
 
+import torsionkit.torsion as torsion_module
 from torsionkit.matrices import RatMatrix, block_diag, companion_matrix, mat_pow
-from torsionkit.numbertheory import cyclotomic
+from torsionkit.numbertheory import cyclotomic, torsion_bound, totient
 from torsionkit.polynomials import RatPoly
 from torsionkit.torsion import (
     TorsionCertificate,
@@ -102,6 +103,38 @@ class TestCertificate:
         with pytest.raises(ValueError):
             TorsionCertificate.from_data({"torsion": True})
 
+    # A certificate for diag(-1, 1), J = {1, 2}, with one field malformed.
+    GOOD_DOC = {"torsion": True, "d": 2, "k": 0, "J": [1, 2], "preperiod": 0,
+                "period": 2, "mu": [-1, 0, 1]}
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("torsion", "false"),
+            ("torsion", 1),
+            ("d", 2.9),
+            ("d", True),
+            ("k", "0"),
+            ("k", -1),
+            ("period", 2.0),
+            ("J", "12"),
+            ("J", [1, 2.0]),
+            ("J", [False, 2]),
+            ("mu", "z^2-1"),
+            ("mu", [-1, 0, {}]),
+            ("mu", ["1/0", 0, 1]),
+        ],
+    )
+    def test_from_data_refuses_malformed_field(self, field, value):
+        assert TorsionCertificate.from_data(self.GOOD_DOC).torsion
+        doc = dict(self.GOOD_DOC, **{field: value})
+        with pytest.raises(ValueError, match=field if field != "mu" else "coefficient|'mu'"):
+            TorsionCertificate.from_data(doc)
+
+    def test_from_data_refuses_non_object(self):
+        with pytest.raises(ValueError, match="JSON object"):
+            TorsionCertificate.from_data([self.GOOD_DOC])
+
 
 class TestVerify:
     def test_genuine_certificates_pass(self):
@@ -144,6 +177,81 @@ class TestVerify:
         )
         outcome = verify_certificate(RatMatrix.identity(2), oversized)
         assert not outcome and outcome.reason == "degree exceeds order"
+
+    @pytest.fixture
+    def record_builds(self, monkeypatch):
+        """Once called, records every cyclotomic, totient and shift torsion asks for."""
+
+        def start():
+            log = {"cyclotomic": [], "totient": [], "shifted": []}
+            original_shifted = RatPoly.shifted
+
+            # Each spy refuses work too large to finish, so that a missing
+            # bound fails the test instead of hanging it.
+            def recording_cyclotomic(n, *args):
+                log["cyclotomic"].append(n)
+                if n > 10**4:
+                    raise AssertionError(f"verify set out to build gamma_{n}")
+                return cyclotomic(n, *args)
+
+            def recording_totient(n):
+                log["totient"].append(n)
+                if n > 10**6:
+                    raise AssertionError(f"verify set out to factor {n}")
+                return totient(n)
+
+            def recording_shifted(self, k):
+                log["shifted"].append(k)
+                if k > 10**4:
+                    raise AssertionError(f"verify set out to shift by z^{k}")
+                return original_shifted(self, k)
+
+            monkeypatch.setattr(torsion_module, "cyclotomic", recording_cyclotomic)
+            monkeypatch.setattr(torsion_module, "totient", recording_totient)
+            monkeypatch.setattr(RatPoly, "shifted", recording_shifted)
+            return log
+
+        return start
+
+    def test_oversized_index_refused_before_building(self, record_builds):
+        c = torsion_certificate(ROTATION)
+        built = record_builds()
+        outcome = verify_certificate(ROTATION, tampered(c, J=frozenset({4, 55440})))
+        assert not outcome and outcome.reason == "mu mismatch"
+        assert all(j <= torsion_bound(2) for j in built["cyclotomic"])
+        assert built["shifted"] == []
+
+    def test_huge_prime_index_refused_before_factoring(self, record_builds):
+        # Trial division would need about 1.5e9 steps to find phi(2^61 - 1).
+        c = torsion_certificate(ROTATION)
+        built = record_builds()
+        outcome = verify_certificate(ROTATION, tampered(c, J=frozenset({4, 2**61 - 1})))
+        assert not outcome and outcome.reason == "mu mismatch"
+        assert all(j <= 2 * 2 * 2 for j in built["totient"])
+        assert built["cyclotomic"] == [] and built["shifted"] == []
+
+    def test_huge_preperiod_refused_before_shifting(self, record_builds):
+        c = torsion_certificate(ROTATION)
+        built = record_builds()
+        outcome = verify_certificate(ROTATION, tampered(c, k=10**7, preperiod=10**7))
+        assert not outcome and outcome.reason == "mu mismatch"
+        assert built["cyclotomic"] == [] and built["shifted"] == []
+
+    def test_degree_sum_mismatch_refused_before_building(self, record_builds):
+        # phi(3) = 2 <= d, but k + phi(3) + phi(4) = 4 != deg(mu) = 2.
+        c = torsion_certificate(ROTATION)
+        built = record_builds()
+        outcome = verify_certificate(ROTATION, tampered(c, J=frozenset({3, 4}), period=12))
+        assert not outcome and outcome.reason == "mu mismatch"
+        assert built["cyclotomic"] == [] and built["shifted"] == []
+
+    def test_same_degree_swap_still_rebuilt(self, record_builds):
+        # J = {3} has the degree of J = {6}, so only the rebuild can tell.
+        c = torsion_certificate(GAMMA6_COMPANION)
+        built = record_builds()
+        outcome = verify_certificate(GAMMA6_COMPANION, tampered(c, J=frozenset({3}), period=3))
+        assert not outcome and outcome.reason == "mu mismatch"
+        assert built["cyclotomic"] == [3]
 
     def test_tampered_preperiod(self):
         c = torsion_certificate(NILPOTENT)
