@@ -21,6 +21,7 @@ from .errors import InternalConsistencyError, MatrixParseError
 from .matrices import RatMatrix
 from .mpp import build_mpp_instance
 from .numbertheory import (
+    MAX_PERIOD_SEARCH_LIMIT,
     cyclotomic,
     lcm_upto,
     max_torsion_period,
@@ -117,11 +118,33 @@ def _read_matrix_arg(source: str, format: str) -> RatMatrix:
     return parse_matrix(source, format)
 
 
-def _positive(name: str):
+#: Largest argument each number-theory subcommand accepts, and the largest
+#: powers --cap. The work grows fast with the argument (a totient table of
+#: 2*D*D entries for bound, trial division up to sqrt(N) for totient, about
+#: N^2 coefficients for pi and nu, every stored power for --cap), so each
+#: is refused above a limit that takes under a second to serve. maxperiod
+#: has no entry: max_torsion_period refuses D > MAX_PERIOD_SEARCH_LIMIT
+#: itself before any work, with exit 2 like any other bad input.
+ARGUMENT_LIMITS = {
+    "pi": 100,
+    "cyclotomic": 3000,
+    "nu": 80,
+    "totient": 10**14,
+    "ell": 30000,
+    "bound": 500,
+    "cap": 5000,
+}
+
+
+def _bounded(name: str, limit: int | None):
+    """argparse type: a positive integer, at most limit unless it is None."""
+
     def convert(value: str) -> int:
         n = int(value)
         if n < 1:
             raise argparse.ArgumentTypeError(f"{name} must be positive, got {n}")
+        if limit is not None and n > limit:
+            raise argparse.ArgumentTypeError(f"{name} must be at most {limit}, got {n}")
         return n
 
     return convert
@@ -174,9 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
     powers = matrix_command("powers", "brute-force search for a repeated power")
     powers.add_argument(
         "--cap",
-        type=_positive("cap"),
+        type=_bounded("cap", ARGUMENT_LIMITS["cap"]),
         default=100,
-        help="largest exponent examined (default 100)",
+        help=f"largest exponent examined (default 100, at most {ARGUMENT_LIMITS['cap']})",
     )
 
     for name, help_text, metavar in (
@@ -188,10 +211,39 @@ def build_parser() -> argparse.ArgumentParser:
         ("bound", "largest m whose totient is at most d", "D"),
         ("maxperiod", "largest eventual period of a torsion matrix of order d", "D"),
     ):
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("n", type=_positive(metavar.lower()), metavar=metavar)
+        limit = ARGUMENT_LIMITS.get(name)
+        shown = MAX_PERIOD_SEARCH_LIMIT if limit is None else limit
+        cmd = sub.add_parser(name, help=f"{help_text} ({metavar} <= {shown})")
+        cmd.add_argument(
+            "n",
+            type=_bounded(metavar.lower(), limit),
+            metavar=metavar,
+            help=f"a positive integer, at most {shown}",
+        )
 
     return parser
+
+
+def _dumps(doc) -> str:
+    """doc as JSON text; a value with a ``to_data()`` is written as its data.
+
+    CPython refuses to convert an int of more than 4300 decimal digits to
+    text (``sys.get_int_max_str_digits``). That limit guards the parsing of
+    untrusted input, and input keeps it; a result the library computed is
+    written whatever its size, so the limit is lifted only while this runs.
+    """
+
+    def write() -> str:
+        return json.dumps(doc, default=lambda value: value.to_data())
+
+    if not hasattr(sys, "get_int_max_str_digits"):  # before 3.10.7: no limit
+        return write()
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return write()
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def run(args: argparse.Namespace) -> str:
@@ -207,10 +259,10 @@ def run(args: argparse.Namespace) -> str:
             if cert.torsion:
                 doc["preperiod"] = cert.preperiod
                 doc["period"] = cert.period
-        return json.dumps(doc)
+        return _dumps(doc)
     if command == "certificate":
         m = _read_matrix_arg(args.matrix, args.format)
-        return json.dumps(torsion_certificate(m).to_data())
+        return _dumps(torsion_certificate(m))
     if command == "verify":
         m = _read_matrix_arg(args.matrix, args.format)
         if args.certificate == "-":
@@ -226,32 +278,30 @@ def run(args: argparse.Namespace) -> str:
         if not cert.torsion:
             raise ValueError("certificate does not claim torsion, nothing to verify")
         outcome = verify_certificate(m, cert)
-        return json.dumps({"valid": outcome.ok, "reason": outcome.reason})
+        return _dumps({"valid": outcome.ok, "reason": outcome.reason})
     if command == "reduce-mpp":
         m = _read_matrix_arg(args.matrix, args.format)
         inst = build_mpp_instance(m)
-        return json.dumps(
-            {"d": inst.source_order, "a": inst.a.to_data(), "b": inst.b.to_data()}
-        )
+        return _dumps({"d": inst.source_order, "a": inst.a, "b": inst.b})
     if command == "powers":
         m = _read_matrix_arg(args.matrix, args.format)
         hit = oracle_cycle_detect(m, args.cap)
-        return json.dumps({"cap": args.cap, "repeat": list(hit) if hit else None})
+        return _dumps({"cap": args.cap, "repeat": list(hit) if hit else None})
     if command == "pi":
-        return json.dumps(pi_poly_product(args.n).to_data())
+        return _dumps(pi_poly_product(args.n))
     if command == "cyclotomic":
-        return json.dumps(cyclotomic(args.n).to_data())
+        return _dumps(cyclotomic(args.n))
     if command == "nu":
-        return json.dumps(nu_poly(args.n).to_data())
+        return _dumps(nu_poly(args.n))
     if command == "totient":
-        return json.dumps(totient(args.n))
+        return _dumps(totient(args.n))
     if command == "ell":
-        return json.dumps(lcm_upto(args.n))
+        return _dumps(lcm_upto(args.n))
     if command == "bound":
-        return json.dumps(torsion_bound(args.n))
+        return _dumps(torsion_bound(args.n))
     if command == "maxperiod":
         period, witness = max_torsion_period(args.n)
-        return json.dumps({"period": period, "witness": sorted(witness)})
+        return _dumps({"period": period, "witness": sorted(witness)})
     raise InternalConsistencyError(f"unhandled subcommand: {command}")
 
 

@@ -2,16 +2,18 @@
 
 Everything here is immutable and pure: multiplication, binary powering
 (exponents may be huge integers, e.g. factorials), Horner evaluation of a
-polynomial at a matrix, and minimal polynomial extraction by exact
-fraction-free elimination. No floating point anywhere.
+polynomial at a matrix, and minimal polynomial extraction from Krylov
+sequences of the standard basis vectors. No floating point anywhere.
 
 Entries are :class:`~fractions.Fraction` at every interface, but the hot
 loops run on plain integers: a row or column is scaled by the lcm of its
 denominators, the arithmetic is done on the numerators, and each result
-entry becomes a Fraction once, at the end. Tuples on these paths are built
-from lists, never from generators: CPython grows a generator-built tuple
-from a 10-slot buffer and parks the freed small tuples on per-size free
-lists, which only a full garbage collection empties.
+entry becomes a Fraction once, at the end. The minimal polynomial scales
+the whole matrix to integers once and then needs only integer
+matrix-vector products, never a matrix product. Tuples on these paths are
+built from lists, never from generators: CPython grows a generator-built
+tuple from a 10-slot buffer and parks the freed small tuples on per-size
+free lists, which only a full garbage collection empties.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .errors import InternalConsistencyError
-from .polynomials import RatPoly
+from .polynomials import IntPoly, RatPoly
 
 EntryLike = Union[int, Fraction]
 
@@ -138,10 +140,6 @@ class RatMatrix:
         f = Fraction(factor)
         return RatMatrix([[f * e for e in row] for row in self.rows])
 
-    def flatten(self) -> tuple[Fraction, ...]:
-        """Entries in row-major order, for linear-algebra over the d*d space."""
-        return tuple([e for row in self.rows for e in row])
-
     def __str__(self) -> str:
         cells = [[str(e) for e in row] for row in self.rows]
         width = max(len(c) for row in cells for c in row)
@@ -241,32 +239,28 @@ def horner_matrix_eval(p: RatPoly, m: RatMatrix) -> RatMatrix:
     return acc
 
 
-def minimal_polynomial(m: RatMatrix) -> RatPoly:
-    """The monic generator of all polynomials that vanish at M.
+def _mat_vec(a: list[list[int]], v: list[int]) -> list[int]:
+    return [sum(map(mul, row, v)) for row in a]
 
-    Flattens I, M, M^2, ... into vectors of length d*d and looks for the
-    first linear dependence by incremental fraction-free elimination. Each
-    power M^k enters as an integer vector s*M^k with the combination
-    s*z^k; reducing it against an echelon row b at pivot p replaces it by
-    b[p]*v - v[p]*b, and the combination alongside, then divides both by
-    their common content. When the vector vanishes its combination is a
-    multiple of the minimal polynomial, made monic once at the end. A
-    dependence must appear by degree d; not finding one means the
-    arithmetic is broken and raises loudly.
 
-    >>> minimal_polynomial(RatMatrix([[1, 0], [0, 2]]))
-    RatPoly('z^2 - 3*z + 2')
+def _krylov_annihilator(a: list[list[int]], u: list[int]) -> list[int]:
+    """Integer coefficients of the least r, up to scale, with r(A)u == 0.
+
+    Looks for the first linear dependence among u, Au, A^2 u, ... by
+    incremental fraction-free elimination. A^k u enters with the
+    combination z^k; reducing it against an echelon row b at pivot p
+    replaces it by b[p]*v - v[p]*b, and the combination alongside, then
+    divides both by their common content. When the vector vanishes its
+    combination is the annihilator.
     """
-    d = m.order
     # Echelon rows found so far: (pivot position, vector, combo), where
-    # vector == sum(combo[i] * flatten(M^i)) and vector is zero at every
-    # earlier pivot.
+    # vector == sum(combo[i] * A^i u) and vector is zero at every earlier
+    # pivot.
     basis: list[tuple[int, list[int], list[int]]] = []
-    power = RatMatrix.identity(d)
-    for k in range(d + 1):
-        vec, scale = _scaled([e for row in power.rows for e in row])
-        combo = [0] * (k + 1)
-        combo[k] = scale
+    power = u
+    for k in range(len(u) + 1):
+        vec = power
+        combo = [0] * k + [1]
         for pivot, bvec, bcombo in basis:
             factor = vec[pivot]
             if factor:
@@ -282,14 +276,55 @@ def minimal_polynomial(m: RatMatrix) -> RatPoly:
                     combo = [x // g for x in combo]
         lead = next((i for i, x in enumerate(vec) if x), None)
         if lead is None:
-            top = combo[k]
-            return RatPoly([Fraction(c, top) for c in combo])
+            return combo
         basis.append((lead, vec, combo))
-        if k < d:
-            power = mat_mul(power, m)
+        power = _mat_vec(a, power)
     raise InternalConsistencyError(
-        f"no polynomial of degree <= {d} annihilates this {d}x{d} matrix"
+        f"no polynomial of degree <= {len(u)} annihilates a vector of length {len(u)}"
     )
+
+
+def minimal_polynomial(m: RatMatrix) -> RatPoly:
+    """The monic generator of all polynomials that vanish at M.
+
+    Works on the integer matrix A = s*M, s the lcm of all denominators,
+    and builds its minimal polynomial mu_A one basis vector at a time.
+    Starting from mu = 1, for each e_i it forms u = mu(A) e_i by Horner
+    on a vector, finds the least r with r(A) u == 0 from the Krylov
+    sequence u, Au, A^2 u, ... (see :func:`_krylov_annihilator`), and
+    replaces mu by the primitive part of mu*r. Since the annihilator of
+    mu(A) e_i is that of e_i divided by its gcd with mu, mu*r is the lcm
+    of mu and the annihilator of e_i; over a basis that lcm is mu_A. The
+    loop stops early once deg mu reaches d. Then mu_M(z) = mu_A(s*z),
+    made monic. Only matrix-vector products on integers are used, so a
+    d x d matrix costs O(d^3) integer operations when one e_i is cyclic.
+
+    >>> minimal_polynomial(RatMatrix([[1, 0], [0, 2]]))
+    RatPoly('z^2 - 3*z + 2')
+    """
+    d = m.order
+    s = math.lcm(*[e.denominator for row in m.rows for e in row])
+    a = [[e.numerator * (s // e.denominator) for e in row] for row in m.rows]
+    mu = IntPoly.one()
+    for i in range(d):
+        # u = mu(A) e_i by Horner, the leading coefficient first.
+        u = [0] * d
+        u[i] = mu.coeffs[-1]
+        for c in reversed(mu.coeffs[:-1]):
+            u = _mat_vec(a, u)
+            u[i] += c
+        if any(u):
+            mu = (mu * IntPoly(_krylov_annihilator(a, u))).primitive()
+            if mu.degree == d:
+                break
+    # mu_M(z) = mu_A(s*z) / (lead * s^n): coefficient j is mu[j] / (lead * s^(n-j)).
+    top = mu.coeffs[-1]
+    coeffs = []
+    for c in reversed(mu.coeffs):
+        coeffs.append(Fraction(c, top))
+        top *= s
+    coeffs.reverse()
+    return RatPoly(coeffs)
 
 
 def max_bit_length(m: RatMatrix) -> int:

@@ -2,6 +2,7 @@
 
 import io
 import json
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -10,6 +11,8 @@ import pytest
 from torsionkit import cli
 from torsionkit.errors import InternalConsistencyError, MatrixParseError
 from torsionkit.matrices import RatMatrix
+from torsionkit.numbertheory import lcm_upto
+from torsionkit.torsion import torsion_certificate
 
 from _corpus import get_corpus
 
@@ -237,6 +240,76 @@ class TestExitCodes:
         )
         assert code == 2 and out == ""
         assert field in err and "Traceback" not in err
+
+
+class TestArgumentLimits:
+    @pytest.mark.parametrize("name", ["pi", "cyclotomic", "nu", "totient", "ell", "bound"])
+    def test_limit_is_served_and_one_past_is_refused(self, capsys, monkeypatch, name):
+        limit = cli.ARGUMENT_LIMITS[name]
+        calls = []
+        library = {"pi": "pi_poly_product", "cyclotomic": "cyclotomic",
+                   "nu": "nu_poly", "totient": "totient", "ell": "lcm_upto",
+                   "bound": "torsion_bound"}[name]
+        monkeypatch.setattr(cli, library, lambda n: calls.append(n) or 1)
+        assert run_cli(capsys, name, str(limit)) == (0, "1\n", "")
+        with pytest.raises(SystemExit) as exc:
+            cli.main([name, str(limit + 1)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"at most {limit}" in err and "Traceback" not in err
+        assert calls == [limit]
+
+    def test_cap_limit(self, capsys, monkeypatch):
+        limit = cli.ARGUMENT_LIMITS["cap"]
+        calls = []
+        monkeypatch.setattr(cli, "oracle_cycle_detect", lambda m, cap: calls.append(cap))
+        code, out, _ = run_cli(capsys, "powers", "[[2]]", "--cap", str(limit))
+        assert code == 0 and json.loads(out) == {"cap": limit, "repeat": None}
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["powers", "[[2]]", "--cap", str(limit + 1)])
+        assert exc.value.code == 2
+        assert f"at most {limit}" in capsys.readouterr().err
+        assert calls == [limit]
+
+    def test_limits_listed_in_help(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        for name in ("pi", "cyclotomic", "nu", "totient", "ell", "bound"):
+            assert f"<= {cli.ARGUMENT_LIMITS[name]})" in out
+        assert f"(D <= {cli.MAX_PERIOD_SEARCH_LIMIT})" in out
+
+
+class TestLongIntegers:
+    # mu of this matrix has coefficients of about 4500 decimal digits, past
+    # CPython's 4300-digit limit on converting integers to text.
+    ZEROS = "0" * 1500
+    PAYLOAD = f"[[1{ZEROS}, 1, 0], [0, 3{ZEROS}, 1], [1, 0, 5{ZEROS}]]"
+
+    def test_certificate_past_the_digit_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli(capsys, "certificate", self.PAYLOAD)
+        assert code == 0 and err == ""
+        assert sys.get_int_max_str_digits() == limit
+        cert = torsion_certificate(cli.parse_matrix(self.PAYLOAD))
+        assert max(abs(c) for c in cert.mu.coeffs) > 10 ** limit
+        sys.set_int_max_str_digits(0)
+        try:
+            assert json.loads(out) == cert.to_data()
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_output_past_the_digit_limit(self, capsys):
+        code, out, _ = run_cli(capsys, "ell", "10000")
+        assert code == 0 and len(out.strip()) > sys.get_int_max_str_digits()
+        assert int(out[:50]) == lcm_upto(10000) // 10 ** (len(out.strip()) - 50)
+
+    def test_input_keeps_the_digit_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli(capsys, "decide", f"[[1{'0' * limit}]]")
+        assert code == 2 and out == ""
+        assert str(limit) in err
+        assert sys.get_int_max_str_digits() == limit
 
 
 class TestParser:

@@ -267,6 +267,86 @@ class TestMinimalPolynomial:
         fwd, back = unimodular_pair(Random(seed), m.order)
         assert minimal_polynomial(conjugate(m, fwd, back)) == minimal_polynomial(m)
 
+    def test_pinned_small_cases(self):
+        assert minimal_polynomial(RatMatrix([[7]])) == RatPoly([-7, 1])
+        assert minimal_polynomial(RatMatrix([[Fraction(-2, 3)]])) == RatPoly(
+            [Fraction(2, 3), 1]
+        )
+        assert minimal_polynomial(RatMatrix([[0]])) == RatPoly([0, 1])
+        assert minimal_polynomial(RatMatrix.zeros(4)) == RatPoly([0, 1])
+        assert minimal_polynomial(RatMatrix.scalar(3, Fraction(5, 2))) == RatPoly(
+            [Fraction(-5, 2), 1]
+        )
+        assert minimal_polynomial(RatMatrix([[2, 0], [0, 1]])) == RatPoly([2, -3, 1])
+
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.fractions(min_value=-9, max_value=9, max_denominator=7),
+    )
+    @settings(max_examples=30)
+    def test_scalar_matrices(self, d, value):
+        assert minimal_polynomial(RatMatrix.scalar(d, value)) == RatPoly([-value, 1])
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 6])
+    def test_nilpotent_jordan_block(self, d):
+        block = RatMatrix([[1 if j == i + 1 else 0 for j in range(d)] for i in range(d)])
+        assert minimal_polynomial(block) == RatPoly([0] * d + [1])
+
+    @given(
+        st.sampled_from([(5, 3), (4, 2, 2), (3, 3), (2, 2, 2), (6, 1, 1), (1, 1, 1)]),
+        st.data(),
+    )
+    @settings(max_examples=40)
+    def test_permutations_with_no_cyclic_basis_vector(self, cycle_type, data):
+        # No e_i generates the whole space: each lies in one cycle, so the
+        # lcm over several basis vectors is needed, and with repeated cycle
+        # lengths that lcm is smaller than the product.
+        d = sum(cycle_type)
+        places = data.draw(st.permutations(range(d)))
+        image = list(range(d))
+        start = 0
+        for length in cycle_type:
+            cycle = places[start:start + length]
+            for k, src in enumerate(cycle):
+                image[src] = cycle[(k + 1) % length]
+            start += length
+        m = RatMatrix([[1 if image[j] == i else 0 for j in range(d)] for i in range(d)])
+        mu = minimal_polynomial(m)
+        assert mu == textbook_minimal_polynomial(m)
+        assert mu.degree < d
+
+    @given(
+        mixed_matrices(max_order=2),
+        st.lists(
+            st.fractions(min_value=-5, max_value=5, max_denominator=9).filter(bool),
+            min_size=2,
+            max_size=2,
+        ),
+    )
+    @settings(max_examples=30)
+    def test_rational_blocks_and_unscaling(self, a, scales):
+        # Scaled copies of one block with unlike denominators: the lcm of
+        # the denominators differs from every block's own.
+        m = block_diag(a.scaled(scales[0]), a, a.scaled(scales[1]), a)
+        assert minimal_polynomial(m) == textbook_minimal_polynomial(m)
+
+    def test_no_matrix_products(self, monkeypatch):
+        calls = []
+
+        def counting_mat_mul(a, b):
+            calls.append(1)
+            return mat_mul(a, b)
+
+        monkeypatch.setattr(matrices_module, "mat_mul", counting_mat_mul)
+        for m in (
+            RatMatrix([[Fraction(1, 2), 1, 0], [-1, 0, Fraction(3, 7)], [2, 2, 2]]),
+            block_diag(ROTATION, ROTATION, RatMatrix([[3]])),
+            RatMatrix.identity(4),
+            RatMatrix.zeros(3),
+        ):
+            minimal_polynomial(m)
+        assert calls == []
+
     def test_minimality_against_proper_divisors(self):
         # For diag(1, 2) neither z-1 nor z-2 annihilates, so degree 2 is
         # genuinely minimal.
