@@ -449,20 +449,35 @@ class IntPoly:
         return cls(operator.index(c) for c in data)
 
 
-def _mpz_content(coeffs) -> "_mpz":
-    g = _mpz(0)
-    for c in coeffs:
-        g = _gcd2(g, c)
-        if g == 1:
-            break
-    return g
+#: Prime for the coprimality screen in :func:`int_gcd`: the largest prime
+#: below 2**30, so every residue is a single CPython digit.
+_SCREEN_PRIME = 1073741789
 
 
 def _mpz_primitive(coeffs) -> list:
-    scale = _mpz_content(coeffs)
-    if coeffs[-1] < 0:
+    # In a remainder sequence the content is nearly always the gcd of the two
+    # end coefficients. Try that first, at one divmod per coefficient; a
+    # coefficient it does not divide lowers it, and the quotients found so
+    # far are scaled up to match.
+    lead = coeffs[-1]
+    scale = _gcd2(lead, coeffs[0])
+    if lead < 0:
         scale = -scale
-    return [c // scale for c in coeffs]
+    if scale == 1:
+        return list(coeffs)
+    out = []
+    for c in coeffs:
+        q, m = divmod(c, scale)
+        if m:
+            lower = _gcd2(scale, c)
+            if lead < 0:
+                lower = -lower
+            factor = scale // lower
+            out = [x * factor for x in out]
+            scale = lower
+            q = c // scale
+        out.append(q)
+    return out
 
 
 def _pseudo_rem(f: list, g: list) -> list:
@@ -470,24 +485,69 @@ def _pseudo_rem(f: list, g: list) -> list:
     # power k is irrelevant here: the caller strips content anyway.
     dg = len(g) - 1
     lc_g = g[-1]
-    r = list(f)
-    while len(r) - 1 >= dg and r:
-        lc_r = r[-1]
-        off = len(r) - 1 - dg
-        r = [lc_g * c for c in r]
-        for i, c in enumerate(g):
-            r[off + i] -= lc_r * c
-        while r and not r[-1]:
-            r.pop()
+    if len(f) == len(g) + 1 and dg:
+        # Degrees one apart, as in nearly every step: both reduction steps
+        # in one pass, lc(g)**2 * f - (c1*z + c0) * g.
+        c1 = lc_g * f[-1]
+        c0 = lc_g * f[-2] - f[-1] * g[-2]
+        sq = lc_g * lc_g
+        r = [sq * x - c1 * y - c0 * w for x, y, w in zip(f, [0] + g, g[:dg])]
+    else:
+        r = list(f)
+        while len(r) - 1 >= dg and r:
+            lc_r = r[-1]
+            off = len(r) - 1 - dg
+            r = [lc_g * c for c in r]
+            for i, c in enumerate(g):
+                r[off + i] -= lc_r * c
+            while r and not r[-1]:
+                r.pop()
+    while r and not r[-1]:
+        r.pop()
     return r
+
+
+def _coprime_mod_p(f: Sequence[int], g: Sequence[int]) -> bool:
+    """True when the images of f and g in GF(p)[z] have a constant gcd.
+
+    Then f and g have no common factor of positive degree over Z, provided
+    p divides neither leading coefficient: such a factor h divides lc(f), so
+    p keeps its degree and h mod p divides both images. When p divides a
+    leading coefficient the screen proves nothing and answers False.
+    """
+    p = _SCREEN_PRIME
+    if not f[-1] % p or not g[-1] % p:
+        return False
+    a = [c % p for c in f]
+    b = [c % p for c in g]
+    while len(b) > 1:
+        inv = pow(b[-1], -1, p)
+        db = len(b) - 1
+        if len(a) == db + 2:  # as in _pseudo_rem, both steps in one pass
+            q1 = a[-1] * inv % p
+            q0 = (a[-2] - q1 * b[-2]) * inv % p
+            a = [(x - q1 * y - q0 * w) % p for x, y, w in zip(a, [0] + b, b[:db])]
+        while len(a) > db:
+            q = a[-1] * inv % p
+            off = len(a) - 1 - db
+            a[off:] = [(x - q * y) % p for x, y in zip(a[off:-1], b)]
+            while a and not a[-1]:
+                a.pop()
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    return len(b) == 1
 
 
 def int_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     """Greatest common divisor in Z[z], primitive with positive leading coefficient.
 
-    Runs a primitive polynomial remainder sequence: each pseudo-remainder is
-    reduced to its primitive part before the next step, which keeps the
-    coefficient growth polynomial instead of exponential.
+    Screens first for coprime primitive parts by Euclid modulo one 30-bit
+    prime, which settles squarefreeness checks gcd(f, f') = 1 without any
+    big-integer work. Otherwise runs a primitive polynomial remainder
+    sequence: each pseudo-remainder is reduced to its primitive part before
+    the next step, which keeps the coefficient growth polynomial instead of
+    exponential.
     """
     if a.is_zero() and b.is_zero():
         raise ValueError("gcd of two zero polynomials is undefined")
@@ -496,6 +556,9 @@ def int_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
         return prim * IntPoly((content,))
     _, ca, pa = a.content_and_primitive()
     _, cb, pb = b.content_and_primitive()
+    shared = math.gcd(ca, cb)
+    if _coprime_mod_p(pa.coeffs, pb.coeffs):
+        return IntPoly((shared,))
     f = [_mpz(c) for c in pa.coeffs]
     g = [_mpz(c) for c in pb.coeffs]
     if len(f) < len(g):
@@ -506,7 +569,6 @@ def int_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
             r = _mpz_primitive(r)
         f, g = g, r
     prim = IntPoly(int(c) for c in _mpz_primitive(f))
-    shared = math.gcd(ca, cb)
     if shared != 1:
         prim = prim * IntPoly((shared,))
     return prim

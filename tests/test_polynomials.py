@@ -1,12 +1,15 @@
 """Polynomial arithmetic: examples pinned by hand plus property tests."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torsionkit import polynomials
 from torsionkit.errors import InternalConsistencyError
+from torsionkit.numbertheory import pi_poly_product
 from torsionkit.polynomials import (
     NEG_INFINITY,
     IntPoly,
@@ -198,6 +201,67 @@ class TestIntGcd:
         assert g.lead() > 0
         assert a.exact_div(g) * g == a
         assert b.exact_div(g) * g == b
+
+    @given(nonzero_int_polys, nonzero_int_polys, nonzero_int_polys)
+    @settings(max_examples=80)
+    def test_matches_textbook_euclid_on_shared_factors(self, a, b, c):
+        x, y = a * c, b * c
+        g = int_gcd(x, y)
+        assert g.to_rational().monic() == euclid_gcd(x.to_rational(), y.to_rational())
+        contents = [q.content_and_primitive()[1] for q in (x, y, g)]
+        assert contents[2] == math.gcd(contents[0], contents[1])
+
+    def test_screen_prime_dividing_a_leading_coefficient(self):
+        # Modulo the screen prime h = P*z + 1 is the constant 1, so the
+        # images of h*(z+2) and h*(z+3) are coprime although the inputs are not.
+        h = IntPoly([1, polynomials._SCREEN_PRIME])
+        assert int_gcd(h * IntPoly([2, 1]), h * IntPoly([3, 1])) == h
+
+    def test_images_sharing_a_factor_fall_back(self):
+        p = polynomials._SCREEN_PRIME
+        # z and z - P are coprime over Z but equal modulo P.
+        assert int_gcd(IntPoly([0, 1]), IntPoly([-p, 1])) == IntPoly([1])
+        # (z+1)*z and (z+1)*(z-P): the image gcd has degree 2, the true one 1.
+        z_plus_1 = IntPoly([1, 1])
+        g = int_gcd(z_plus_1 * IntPoly([0, 1]), z_plus_1 * IntPoly([-p, 1]))
+        assert g == z_plus_1
+
+    def test_coprime_inputs_skip_the_remainder_sequence(self, monkeypatch):
+        def refuse(f, g):
+            raise AssertionError("remainder sequence run on coprime input")
+
+        monkeypatch.setattr(polynomials, "_pseudo_rem", refuse)
+        pi = pi_poly_product(12)
+        assert int_gcd(pi, pi.derivative()) == IntPoly([1])
+        assert int_gcd(IntPoly([6, 6]), IntPoly([4, 8])) == IntPoly([2])
+
+
+int_coeff_lists = st.lists(
+    st.integers(min_value=-10**30, max_value=10**30), min_size=1, max_size=8
+).filter(lambda cs: cs[-1] != 0)
+
+
+class TestRemainderSequenceSteps:
+    @given(int_coeff_lists, st.integers(min_value=1, max_value=10**20))
+    def test_primitive_part_matches_content_split(self, coeffs, scale):
+        scaled = [c * scale for c in coeffs]
+        assert polynomials._mpz_primitive(scaled) == list(IntPoly(scaled).primitive().coeffs)
+
+    def test_primitive_part_when_end_coefficients_overshoot(self):
+        # gcd(6, -12) = 6, but the content is 3.
+        assert polynomials._mpz_primitive([6, 3, -12]) == [-2, -1, 4]
+
+    @given(int_coeff_lists, int_coeff_lists)
+    def test_pseudo_remainder_is_a_scaled_remainder(self, f, g):
+        if len(f) < len(g):
+            f, g = g, f
+        r = polynomials._pseudo_rem(f, g)
+        expected = RatPoly(f) % RatPoly(g)
+        if expected.is_zero():
+            assert r == []
+        else:
+            assert len(r) < len(g)
+            assert RatPoly(r).monic() == expected.monic()
 
 
 class TestContentPrimitive:
