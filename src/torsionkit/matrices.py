@@ -218,10 +218,12 @@ def mat_pow(m: RatMatrix, e: int) -> RatMatrix:
     return result
 
 
-def horner_matrix_eval(p: RatPoly, m: RatMatrix) -> RatMatrix:
+def horner_matrix_eval(p: IntPoly | RatPoly, m: RatMatrix) -> RatMatrix:
     """p(M) by Horner's scheme: one product per coefficient.
 
-    Each nonzero coefficient is added straight onto the diagonal.
+    Each nonzero coefficient is added straight onto the diagonal. Only
+    ``p.coeffs`` is read, and ``Fraction + int`` is exact, so an integer
+    polynomial is evaluated as it is, without a conversion to rationals.
 
     >>> horner_matrix_eval(RatPoly([-1, 0, 1]), RatMatrix([[0, -1], [1, 0]]))
     RatMatrix([[-2, 0], [0, -2]])

@@ -16,13 +16,14 @@ They must always agree; the certificate is independently checkable by
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from .errors import InternalConsistencyError
 from .matrices import RatMatrix, horner_matrix_eval, mat_mul, mat_pow, minimal_polynomial
 from .numbertheory import cyclotomic, pi_poly_product, torsion_bound, totient
-from .polynomials import RatPoly
+from .polynomials import IntPoly, RatPoly
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,23 +110,37 @@ def _count_field(doc: dict, name: str, least: int) -> int:
     return value
 
 
+@functools.cache
+def _annihilator(d: int, faithful: bool) -> IntPoly:
+    """z**d * pi_n with n = 2*d*d if ``faithful`` else ``torsion_bound(d)``.
+
+    Built once per order and route per process and kept, since a decision
+    on a d-by-d matrix depends on nothing else. The kept polynomials are
+    small at the orders met in practice (about 120 KiB for orders 1-6 on
+    both routes), but the faithful one grows steeply with d: pi_128 at
+    order 8 takes one to two seconds to build and then stays in memory
+    for the life of the process.
+    """
+    n = 2 * d * d if faithful else torsion_bound(d)
+    return pi_poly_product(n).shifted(d)
+
+
 def decide_torsion_annihilation(m: RatMatrix, faithful: bool = False) -> bool:
     """Torsion test by annihilation: is z**d * pi_n evaluated at M zero?
 
     With n chosen so that phi(j) > d for every j > n, the matrix is torsion
     exactly when it annihilates z**d * pi_n. The tight choice is
     ``torsion_bound(d)``; ``faithful`` uses the blunt bound 2*d*d instead,
-    which is never smaller, so both must return the same verdict.
+    which is never smaller, so both must return the same verdict. The
+    polynomial is built once per order and route, and its integer
+    coefficients are evaluated at M without conversion to rationals.
 
     >>> decide_torsion_annihilation(RatMatrix([[0, -1], [1, 0]]))
     True
     >>> decide_torsion_annihilation(RatMatrix([[2]]))
     False
     """
-    d = m.order
-    n = 2 * d * d if faithful else torsion_bound(d)
-    test_poly = pi_poly_product(n).to_rational().shifted(d)
-    return horner_matrix_eval(test_poly, m).is_zero()
+    return horner_matrix_eval(_annihilator(m.order, faithful), m).is_zero()
 
 
 def torsion_certificate(m: RatMatrix) -> TorsionCertificate:
@@ -220,18 +235,14 @@ def verify_certificate(m: RatMatrix, c: TorsionCertificate) -> VerifyOutcome:
     return VerifyOutcome(True)
 
 
-def _canonical_key(m: RatMatrix) -> tuple[str, ...]:
-    # Fractions are kept reduced with positive denominators, so their string
-    # forms are canonical and safe as table keys.
-    return tuple([str(e) for row in m.rows for e in row])
-
-
 def oracle_cycle_detect(m: RatMatrix, cap: int) -> tuple[int, int] | None:
     """First (p, q) with p < q <= cap and M^p = M^q, by brute force.
 
-    Walks M, M^2, ..., M^cap, storing canonical encodings in a lookup
-    table. Finding nothing within cap proves nothing; this exists to check
-    the clever methods on small instances, not to decide.
+    Walks M, M^2, ..., M^cap, keying a lookup table by each power's rows:
+    entries are reduced Fractions, so equal powers have equal keys, and no
+    entry is ever turned into a string. Finding nothing within cap proves
+    nothing; this exists to check the clever methods on small instances,
+    not to decide.
 
     >>> oracle_cycle_detect(RatMatrix([[0, -1], [1, 0]]), 10)
     (1, 5)
@@ -240,14 +251,13 @@ def oracle_cycle_detect(m: RatMatrix, cap: int) -> tuple[int, int] | None:
     """
     if cap < 1:
         raise ValueError(f"cap must be positive, got {cap}")
-    seen: dict[tuple[str, ...], int] = {}
+    seen: dict[tuple, int] = {}
     power = RatMatrix.identity(m.order)
     for e in range(1, cap + 1):
         power = mat_mul(power, m)
-        key = _canonical_key(power)
-        if key in seen:
-            return seen[key], e
-        seen[key] = e
+        if power.rows in seen:
+            return seen[power.rows], e
+        seen[power.rows] = e
     return None
 
 

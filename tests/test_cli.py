@@ -7,12 +7,14 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torsionkit import cli
 from torsionkit.errors import InternalConsistencyError, MatrixParseError
 from torsionkit.matrices import RatMatrix
 from torsionkit.numbertheory import lcm_upto
-from torsionkit.torsion import torsion_certificate
+from torsionkit.torsion import TorsionCertificate, torsion_certificate
 
 from _corpus import get_corpus
 
@@ -310,6 +312,86 @@ class TestLongIntegers:
         assert code == 2 and out == ""
         assert str(limit) in err
         assert sys.get_int_max_str_digits() == limit
+
+    def test_powers_past_the_digit_limit(self, capsys):
+        # 10^5000 has 5001 digits; no power is ever written out as text.
+        code, out, err = run_cli(capsys, "powers", "[[10]]", "--cap", "5000")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"cap": 5000, "repeat": None}
+
+
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8)
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+entry_values = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.sampled_from(["1/2", "-3/4", "1/0", "0x1", "1.5", " 2 ", "", "1/2/3", "+7"]),
+    json_scalars,
+)
+#: Up to three rows of up to three entries: some pass the shape checks and
+#: reach the entry parser.
+matrix_like = st.lists(st.lists(entry_values, max_size=3), max_size=3)
+
+
+@st.composite
+def certificate_like(draw):
+    """Well-typed certificate documents with at most one field replaced by
+    an arbitrary JSON value and at most one field dropped."""
+    count = st.integers(min_value=-1, max_value=6)
+    doc = draw(st.fixed_dictionaries({
+        "torsion": st.booleans(),
+        "d": count,
+        "k": count,
+        "J": st.lists(st.integers(min_value=-1, max_value=30), max_size=4),
+        "preperiod": count,
+        "period": count,
+        "mu": st.lists(entry_values, max_size=4),
+    }))
+    fields = st.sampled_from(sorted(doc)) | st.none()
+    corrupt, dropped = draw(fields), draw(fields)
+    if corrupt is not None:
+        doc[corrupt] = draw(json_values)
+    doc.pop(dropped, None)
+    return doc
+
+
+class TestUntrustedInputFuzz:
+    """Matrix payloads and certificate documents either parse or fail cleanly.
+
+    Only MatrixParseError or ValueError may come out: anything else would
+    escape ``main`` as an internal fault (exit 3) instead of bad input (exit 2).
+    """
+
+    @given(
+        st.one_of(
+            st.text(max_size=40),
+            st.binary(max_size=30),
+            json_values.map(json.dumps),
+            matrix_like.map(json.dumps),
+        ),
+        st.sampled_from(["json", "text"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_parse_matrix(self, payload, format):
+        try:
+            result = cli.parse_matrix(payload, format)
+        except (MatrixParseError, ValueError):
+            return
+        assert isinstance(result, RatMatrix)
+
+    @given(st.one_of(certificate_like(), json_values))
+    @settings(max_examples=200, deadline=None)
+    def test_certificate_from_data(self, doc):
+        try:
+            result = TorsionCertificate.from_data(doc)
+        except ValueError:
+            return
+        assert isinstance(result, TorsionCertificate)
 
 
 class TestParser:

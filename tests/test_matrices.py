@@ -18,7 +18,7 @@ from torsionkit.matrices import (
     max_bit_length,
     minimal_polynomial,
 )
-from torsionkit.polynomials import RatPoly
+from torsionkit.polynomials import IntPoly, RatPoly
 
 from _oracles import (
     conjugate,
@@ -48,6 +48,7 @@ def square_matrices(max_order: int = 3):
 
 
 small_polys = st.builds(RatPoly, st.lists(small_entries, max_size=4))
+int_polys = st.builds(IntPoly, st.lists(st.integers(min_value=-60, max_value=60), max_size=7))
 
 
 # Zeros, signs and unlike denominators, so that the integer kernels' row
@@ -221,6 +222,13 @@ class TestHorner:
     def test_additive(self, p, q, m):
         lhs = horner_matrix_eval(p + q, m)
         assert lhs == horner_matrix_eval(p, m) + horner_matrix_eval(q, m)
+
+    @given(int_polys, mixed_matrices(max_order=4))
+    @settings(max_examples=40)
+    def test_integer_polynomial_evaluates_as_its_rational_copy(self, p, m):
+        result = horner_matrix_eval(p, m)
+        assert result == horner_matrix_eval(p.to_rational(), m)
+        assert all(type(e) is Fraction for row in result.rows for e in row)
 
 
 class TestMinimalPolynomial:

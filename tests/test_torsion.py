@@ -1,13 +1,21 @@
 """The decision procedures and certificate machinery."""
 
 import json
+from fractions import Fraction
 from random import Random
 
 import pytest
 
 import torsionkit.torsion as torsion_module
-from torsionkit.matrices import RatMatrix, block_diag, companion_matrix, mat_pow
-from torsionkit.numbertheory import cyclotomic, torsion_bound, totient
+from torsionkit.matrices import (
+    RatMatrix,
+    block_diag,
+    companion_matrix,
+    horner_matrix_eval,
+    mat_mul,
+    mat_pow,
+)
+from torsionkit.numbertheory import cyclotomic, pi_poly_product, torsion_bound, totient
 from torsionkit.polynomials import RatPoly
 from torsionkit.torsion import (
     TorsionCertificate,
@@ -18,7 +26,7 @@ from torsionkit.torsion import (
     verify_certificate,
 )
 
-from _corpus import get_corpus
+from _corpus import get_corpus, permutation_matrix
 from _oracles import conjugate, unimodular_pair
 
 ROTATION = RatMatrix([[0, -1], [1, 0]])
@@ -55,6 +63,74 @@ class TestAnnihilationDecision:
         for m in (RatMatrix.identity(2), ROTATION, NILPOTENT, UNIPOTENT, RatMatrix([[2]])):
             assert decide_torsion_annihilation(m, faithful=True) == \
                 decide_torsion_annihilation(m, faithful=False)
+
+
+def route_bound(d: int, faithful: bool) -> int:
+    return 2 * d * d if faithful else torsion_bound(d)
+
+
+class TestAnnihilatorMemo:
+    """z**d * pi_n is built once per (order, route) and evaluated in integers."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_memo(self):
+        torsion_module._annihilator.cache_clear()
+        yield
+        torsion_module._annihilator.cache_clear()
+
+    def test_one_build_per_order_and_route(self, monkeypatch):
+        built = []
+
+        def counting_pi(n, *args, **kwargs):
+            built.append(n)
+            return pi_poly_product(n, *args, **kwargs)
+
+        monkeypatch.setattr(torsion_module, "pi_poly_product", counting_pi)
+        samples = {d: [RatMatrix.identity(d), permutation_matrix((d,)), RatMatrix.scalar(d, 2)]
+                   for d in (1, 2, 3, 4)}
+        for _ in range(3):
+            for d, matrices in samples.items():
+                for m in matrices:
+                    for faithful in (False, True):
+                        decide_torsion_annihilation(m, faithful=faithful)
+        assert built == [route_bound(d, f) for d in (1, 2, 3, 4) for f in (False, True)]
+
+    @pytest.mark.parametrize("faithful", [False, True])
+    def test_evaluated_degree_is_the_benchmark_identity(self, monkeypatch, faithful):
+        degrees = []
+
+        def spy(p, m):
+            degrees.append(p.degree)
+            return horner_matrix_eval(p, m)
+
+        monkeypatch.setattr(torsion_module, "horner_matrix_eval", spy)
+        for d in range(1, 6):
+            degrees.clear()
+            assert decide_torsion_annihilation(permutation_matrix((d,)), faithful=faithful) is True
+            n = route_bound(d, faithful)
+            assert degrees == [d + sum(totient(j) for j in range(1, n + 1))], d
+
+    def test_annihilator_is_the_shifted_product(self):
+        for d in range(1, 5):
+            for faithful in (False, True):
+                n = route_bound(d, faithful)
+                direct = pi_poly_product(n).to_rational().shifted(d)
+                assert torsion_module._annihilator(d, faithful).to_rational() == direct
+
+    def test_verdicts_match_direct_rational_evaluation(self):
+        direct = {
+            (d, faithful): pi_poly_product(route_bound(d, faithful)).to_rational().shifted(d)
+            for d in range(1, 5)
+            for faithful in (False, True)
+        }
+        for e in get_corpus():
+            d = e.matrix.order
+            if d > 4:
+                continue
+            for faithful in (False, True):
+                expected = horner_matrix_eval(direct[d, faithful], e.matrix).is_zero()
+                assert decide_torsion_annihilation(e.matrix, faithful=faithful) is expected, e.name
+                assert expected is e.torsion, e.name
 
 
 class TestCertificate:
@@ -283,6 +359,29 @@ class TestOracle:
             p, q = oracle_cycle_detect(e.matrix, max(e.preperiod, 1) + e.period + 1)
             assert p == max(e.preperiod, 1), e.name
             assert q - p == e.period, e.name
+
+    def test_same_repeat_as_string_keyed_walk(self):
+        def string_keyed(m, cap):
+            seen = {}
+            power = RatMatrix.identity(m.order)
+            for e in range(1, cap + 1):
+                power = mat_mul(power, m)
+                key = tuple([str(x) for row in power.rows for x in row])
+                if key in seen:
+                    return seen[key], e
+                seen[key] = e
+            return None
+
+        for e in get_corpus():
+            cap = max(e.preperiod, 1) + e.period + 1 if e.torsion else 12
+            assert oracle_cycle_detect(e.matrix, cap) == string_keyed(e.matrix, cap), e.name
+
+    def test_entries_past_the_digit_limit(self):
+        # 10^5000 has 5001 decimal digits, past CPython's 4300-digit limit
+        # on converting integers to text.
+        assert oracle_cycle_detect(RatMatrix([[10]]), 5000) is None
+        big = RatMatrix([[0, 10**5000], [Fraction(1, 10**5000), 0]])
+        assert oracle_cycle_detect(big, 4) == (1, 3)
 
 
 class TestPowerEquivalence:
