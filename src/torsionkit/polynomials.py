@@ -19,13 +19,6 @@ from typing import Iterable, Sequence, Union
 
 from .errors import InternalConsistencyError
 
-try:  # GMP integers make the remainder-sequence gcd several times faster
-    from gmpy2 import gcd as _gcd2
-    from gmpy2 import mpz as _mpz
-except ImportError:  # pragma: no cover - plain ints are a correct fallback
-    _gcd2 = math.gcd
-    _mpz = int
-
 #: Exact rational scalar; :class:`fractions.Fraction` already enforces the
 #: canonical form (positive denominator, reduced, zero is 0/1).
 Rational = Fraction
@@ -454,13 +447,13 @@ class IntPoly:
 _SCREEN_PRIME = 1073741789
 
 
-def _mpz_primitive(coeffs) -> list:
+def _primitive_list(coeffs) -> list:
     # In a remainder sequence the content is nearly always the gcd of the two
     # end coefficients. Try that first, at one divmod per coefficient; a
     # coefficient it does not divide lowers it, and the quotients found so
     # far are scaled up to match.
     lead = coeffs[-1]
-    scale = _gcd2(lead, coeffs[0])
+    scale = math.gcd(lead, coeffs[0])
     if lead < 0:
         scale = -scale
     if scale == 1:
@@ -469,7 +462,7 @@ def _mpz_primitive(coeffs) -> list:
     for c in coeffs:
         q, m = divmod(c, scale)
         if m:
-            lower = _gcd2(scale, c)
+            lower = math.gcd(scale, c)
             if lead < 0:
                 lower = -lower
             factor = scale // lower
@@ -559,16 +552,16 @@ def int_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     shared = math.gcd(ca, cb)
     if _coprime_mod_p(pa.coeffs, pb.coeffs):
         return IntPoly((shared,))
-    f = [_mpz(c) for c in pa.coeffs]
-    g = [_mpz(c) for c in pb.coeffs]
+    f = list(pa.coeffs)
+    g = list(pb.coeffs)
     if len(f) < len(g):
         f, g = g, f
     while g:
         r = _pseudo_rem(f, g)
         if r:
-            r = _mpz_primitive(r)
+            r = _primitive_list(r)
         f, g = g, r
-    prim = IntPoly(int(c) for c in _mpz_primitive(f))
+    prim = IntPoly(_primitive_list(f))
     if shared != 1:
         prim = prim * IntPoly((shared,))
     return prim

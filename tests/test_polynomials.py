@@ -245,11 +245,11 @@ class TestRemainderSequenceSteps:
     @given(int_coeff_lists, st.integers(min_value=1, max_value=10**20))
     def test_primitive_part_matches_content_split(self, coeffs, scale):
         scaled = [c * scale for c in coeffs]
-        assert polynomials._mpz_primitive(scaled) == list(IntPoly(scaled).primitive().coeffs)
+        assert polynomials._primitive_list(scaled) == list(IntPoly(scaled).primitive().coeffs)
 
     def test_primitive_part_when_end_coefficients_overshoot(self):
         # gcd(6, -12) = 6, but the content is 3.
-        assert polynomials._mpz_primitive([6, 3, -12]) == [-2, -1, 4]
+        assert polynomials._primitive_list([6, 3, -12]) == [-2, -1, 4]
 
     @given(int_coeff_lists, int_coeff_lists)
     def test_pseudo_remainder_is_a_scaled_remainder(self, f, g):

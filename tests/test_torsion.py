@@ -117,21 +117,6 @@ class TestAnnihilatorMemo:
                 direct = pi_poly_product(n).to_rational().shifted(d)
                 assert torsion_module._annihilator(d, faithful).to_rational() == direct
 
-    def test_verdicts_match_direct_rational_evaluation(self):
-        direct = {
-            (d, faithful): pi_poly_product(route_bound(d, faithful)).to_rational().shifted(d)
-            for d in range(1, 5)
-            for faithful in (False, True)
-        }
-        for e in get_corpus():
-            d = e.matrix.order
-            if d > 4:
-                continue
-            for faithful in (False, True):
-                expected = horner_matrix_eval(direct[d, faithful], e.matrix).is_zero()
-                assert decide_torsion_annihilation(e.matrix, faithful=faithful) is expected, e.name
-                assert expected is e.torsion, e.name
-
 
 class TestCertificate:
     def test_identity(self):
