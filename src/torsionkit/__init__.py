@@ -21,7 +21,6 @@ from .matrices import (
 )
 from .mpp import MppInstance, build_mpp_instance, search_matrix_power
 from .numbertheory import (
-    CyclotomicCache,
     TotientTable,
     cyclotomic,
     divisors,
@@ -38,9 +37,7 @@ from .polynomials import (
     IntPoly,
     RatPoly,
     Rational,
-    gcd,
     int_gcd,
-    squarefree_part,
 )
 from .torsion import (
     TorsionCertificate,
@@ -68,7 +65,6 @@ __all__ = [
     "MppInstance",
     "build_mpp_instance",
     "search_matrix_power",
-    "CyclotomicCache",
     "TotientTable",
     "cyclotomic",
     "divisors",
@@ -83,9 +79,7 @@ __all__ = [
     "IntPoly",
     "RatPoly",
     "Rational",
-    "gcd",
     "int_gcd",
-    "squarefree_part",
     "TorsionCertificate",
     "VerifyOutcome",
     "check_power_equivalence",

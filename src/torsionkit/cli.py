@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Matrix-taking subcommands read JSON (array of rows, entries integers or
-"p/q" strings) or plain text (one row per line, whitespace-separated
-entries); number-theory subcommands take plain integers. Every output is a
-single JSON document on stdout, deterministic byte for byte. Exit status is
-0 when a verdict was produced (whatever the verdict), 2 on bad input, 3 on
-an internal consistency fault.
+"p/q" or decimal strings, never exponent notation) or plain text (one row
+per line, whitespace-separated entries); number-theory subcommands take
+plain integers. Every output is a single JSON document on stdout,
+deterministic byte for byte. Exit status is 0 when a verdict was produced
+(whatever the verdict), 2 on bad input, 3 on an internal consistency fault.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .numbertheory import (
     torsion_bound,
     totient,
 )
+from .polynomials import read_rational
 from .torsion import (
     TorsionCertificate,
     decide_torsion_annihilation,
@@ -41,16 +42,10 @@ from .torsion import (
 
 def _parse_entry(token, row: int, col: int) -> Fraction:
     # row and col are 1-based in every message.
-    if isinstance(token, bool) or isinstance(token, float):
-        raise MatrixParseError(f"non-exact entry at ({row},{col}): {token!r}")
-    if not isinstance(token, (int, str)):
-        raise MatrixParseError(f"malformed entry at ({row},{col}): {token!r}")
     try:
-        return Fraction(token)
-    except ZeroDivisionError:
-        raise MatrixParseError(f"zero denominator at ({row},{col})") from None
-    except ValueError:
-        raise MatrixParseError(f"malformed entry at ({row},{col}): {token!r}") from None
+        return read_rational(token, f"entry at ({row},{col})")
+    except ValueError as err:
+        raise MatrixParseError(str(err)) from None
 
 
 def _grid_to_matrix(grid: list[list[Fraction]]) -> RatMatrix:

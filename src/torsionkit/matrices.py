@@ -25,7 +25,7 @@ from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .errors import InternalConsistencyError
-from .polynomials import IntPoly, RatPoly
+from .polynomials import IntPoly, RatPoly, read_rational
 
 EntryLike = Union[int, Fraction]
 
@@ -160,15 +160,8 @@ class RatMatrix:
 
     @classmethod
     def from_data(cls, data: Iterable[Sequence[int | str]]) -> RatMatrix:
-        rows = []
-        for row in data:
-            out = []
-            for item in row:
-                if isinstance(item, bool) or isinstance(item, float):
-                    raise ValueError(f"non-exact matrix entry: {item!r}")
-                out.append(Fraction(item))
-            rows.append(out)
-        return cls(rows)
+        """Read a JSON matrix; every entry goes through :func:`read_rational`."""
+        return cls([[read_rational(e, "matrix entry") for e in row] for row in data])
 
 
 def _scaled(entries: Sequence[Fraction]) -> tuple[list[int], int]:

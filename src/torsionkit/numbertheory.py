@@ -11,6 +11,7 @@ must agree coefficient for coefficient; the test suite holds them to that.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -107,62 +108,30 @@ class TotientTable:
         return self.limit
 
 
-class CyclotomicCache:
-    """Memo table for cyclotomic polynomials, filled on demand.
-
-    Entries are immutable and a recomputation always produces the identical
-    polynomial, so writes are idempotent. Concurrent readers are safe; the
-    cache relies on dict assignment being atomic and never invalidates.
-    """
-
-    __slots__ = ("_table",)
-
-    def __init__(self) -> None:
-        self._table: dict[int, IntPoly] = {}
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def __contains__(self, n: int) -> bool:
-        return n in self._table
-
-    def get(self, n: int) -> IntPoly | None:
-        return self._table.get(n)
-
-    def store(self, n: int, poly: IntPoly) -> None:
-        self._table[n] = poly
-
-
-_shared_cache = CyclotomicCache()
-
-
-def cyclotomic(n: int, cache: CyclotomicCache | None = None) -> IntPoly:
+@functools.cache
+def cyclotomic(n: int) -> IntPoly:
     """The n-th cyclotomic polynomial, monic of degree phi(n).
 
     Defined through the factorization z**m - 1 = prod of gamma_d over the
     divisors d of m, read as a recursion: divide z**n - 1 by the cyclotomics
     of the proper divisors. Every division along the way is exact; a nonzero
-    remainder would mean corrupted state and raises immediately.
+    remainder would mean corrupted state and raises immediately. Memoised
+    for the life of the process; ``cyclotomic.cache_clear()`` empties the
+    memo.
 
     >>> cyclotomic(6)
     IntPoly('z^2 - z + 1')
     """
     if n < 1:
         raise ValueError(f"cyclotomic index must be positive, got {n}")
-    if cache is None:
-        cache = _shared_cache
-    hit = cache.get(n)
-    if hit is not None:
-        return hit
     result = IntPoly.cyclic(n)
     for d in divisors(n)[:-1]:
-        result = result.exact_div(cyclotomic(d, cache))
+        result = result.exact_div(cyclotomic(d))
     if not result.is_monic() or result.degree != totient(n):
         raise InternalConsistencyError(
             f"cyclotomic({n}) came out with degree {result.degree}, "
             f"expected monic of degree {totient(n)}"
         )
-    cache.store(n, result)
     return result
 
 
@@ -176,7 +145,7 @@ def nu_poly(n: int) -> IntPoly:
     return result
 
 
-def pi_poly_product(n: int, cache: CyclotomicCache | None = None) -> IntPoly:
+def pi_poly_product(n: int) -> IntPoly:
     """pi_n as the product gamma_1 * gamma_2 * ... * gamma_n.
 
     >>> pi_poly_product(3)
@@ -186,7 +155,7 @@ def pi_poly_product(n: int, cache: CyclotomicCache | None = None) -> IntPoly:
         raise ValueError(f"pi_poly index must be positive, got {n}")
     result = IntPoly.one()
     for j in range(1, n + 1):
-        result = result * cyclotomic(j, cache)
+        result = result * cyclotomic(j)
     return result
 
 

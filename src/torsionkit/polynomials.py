@@ -5,6 +5,12 @@ The zero polynomial is the empty coefficient sequence and has degree
 ``NEG_INFINITY``; every nonzero polynomial keeps a nonzero last coefficient,
 so equal polynomials compare equal structurally.
 
+:class:`RatPoly` and :class:`IntPoly` share one dense arithmetic core and
+differ only in their coefficient type and their ring-specific operations.
+Operands must have the same type: ``RatPoly * IntPoly`` is a TypeError, and
+an integer polynomial enters rational arithmetic through
+:meth:`IntPoly.to_rational`.
+
 All values are immutable and every operation is a pure function; instances
 are safe to share between threads.
 """
@@ -30,35 +36,170 @@ NEG_INFINITY = float("-inf")
 CoeffLike = Union[int, Fraction]
 
 
-def _format_terms(coeffs: Sequence, var: str = "z") -> str:
-    if not coeffs:
-        return "0"
-    parts = []
-    for i in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[i]
-        if not c:
-            continue
-        mag = -c if c < 0 else c
-        if i == 0:
-            body = f"{mag}"
-        else:
-            body = var if i == 1 else f"{var}^{i}"
-            if mag != 1:
-                body = f"{mag}*{body}"
-        parts.append(("-" if c < 0 else "+", body))
-    sign, body = parts[0]
-    text = ("-" if sign == "-" else "") + body
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
+def read_rational(value, what: str) -> Fraction:
+    """An exact number from untrusted input: an int, or a "p/q" or decimal string.
+
+    Refuses bool and float (not exact), every other type, and strings in
+    exponent notation, which :class:`~fractions.Fraction` would expand in
+    full before any size limit applies ("1e999999999" has a billion
+    digits). Every refusal is a ValueError whose message names ``what``.
+
+    >>> read_rational("-3/6", "entry"), read_rational("0.25", "entry")
+    (Fraction(-1, 2), Fraction(1, 4))
+    """
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"non-exact {what}: {value!r}")
+    if not isinstance(value, (int, str)):
+        raise ValueError(f"malformed {what}: {value!r}")
+    if isinstance(value, str) and ("e" in value or "E" in value):
+        raise ValueError(f"exponent notation not accepted in {what}: {value!r}")
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {what}: {value!r}") from None
+    except ValueError:
+        raise ValueError(f"malformed {what}: {value!r}") from None
 
 
-def _coeff_to_data(c: Fraction) -> int | str:
-    return int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+class _DensePoly:
+    """Arithmetic common to :class:`RatPoly` and :class:`IntPoly`.
+
+    A subclass is a frozen dataclass with the single field ``coeffs`` and
+    states what differs: ``_coeff`` maps an input coefficient to the
+    canonical coefficient type, ``_zero`` is that type's zero, and it adds
+    its ring-specific operations. Every result has the type of ``self``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, coeffs: Iterable = ()) -> None:
+        if isinstance(coeffs, type(self)):
+            object.__setattr__(self, "coeffs", coeffs.coeffs)
+            return
+        coerce = self._coeff
+        cs = tuple([coerce(c) for c in coeffs])
+        end = len(cs)
+        while end and cs[end - 1] == 0:
+            end -= 1
+        object.__setattr__(self, "coeffs", cs[:end])
+
+    @classmethod
+    def zero(cls):
+        return cls(())
+
+    @classmethod
+    def one(cls):
+        return cls((1,))
+
+    @property
+    def degree(self) -> int | float:
+        """Degree; ``NEG_INFINITY`` for the zero polynomial."""
+        return len(self.coeffs) - 1 if self.coeffs else NEG_INFINITY
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def lead(self):
+        """Leading coefficient; rejects the zero polynomial."""
+        if not self.coeffs:
+            raise ValueError("the zero polynomial has no leading coefficient")
+        return self.coeffs[-1]
+
+    def __str__(self) -> str:
+        coeffs = self.coeffs
+        if not coeffs:
+            return "0"
+        parts = []
+        for i in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[i]
+            if not c:
+                continue
+            mag = -c if c < 0 else c
+            if i == 0:
+                body = f"{mag}"
+            else:
+                body = "z" if i == 1 else f"z^{i}"
+                if mag != 1:
+                    body = f"{mag}*{body}"
+            parts.append(("-" if c < 0 else "+", body))
+        sign, body = parts[0]
+        text = ("-" if sign == "-" else "") + body
+        for sign, body in parts[1:]:
+            text += f" {sign} {body}"
+        return text
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({str(self)!r})"
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return type(self)(out)
+
+    def __neg__(self):
+        return type(self)([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return type(self)(())
+        out = [self._zero] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return type(self)(out)
+
+    def __pow__(self, n: int):
+        n = operator.index(n)
+        if n < 0:
+            raise ValueError("negative polynomial powers are not defined")
+        result = self.one()
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def derivative(self):
+        """Formal derivative; drops the degree by one for nonconstant input."""
+        return type(self)([i * c for i, c in enumerate(self.coeffs) if i])
+
+    def shifted(self, k: int):
+        """Multiply by z**k."""
+        k = operator.index(k)
+        if k < 0:
+            raise ValueError("shift exponent must be non-negative")
+        if not self.coeffs:
+            return self
+        return type(self)((self._zero,) * k + self.coeffs)
 
 
-@dataclass(frozen=True, slots=True)
-class RatPoly:
+def _fraction(c: CoeffLike) -> Fraction:
+    return c if isinstance(c, Fraction) else Fraction(c)
+
+
+# Each subclass binds __mul__ in its own class body, because bench/spans.py
+# wraps the methods it finds in a class's own __dict__. init=False and
+# repr=False keep dataclass from generating an __init__ and a __repr__ that
+# would shadow the shared ones.
+@dataclass(frozen=True, slots=True, init=False, repr=False)
+class RatPoly(_DensePoly):
     """Dense polynomial over Q.
 
     Construction canonicalizes: every coefficient is coerced to
@@ -75,148 +216,36 @@ class RatPoly:
 
     coeffs: tuple[Fraction, ...]
 
-    def __init__(self, coeffs: Iterable[CoeffLike] = ()) -> None:
-        if isinstance(coeffs, RatPoly):
-            object.__setattr__(self, "coeffs", coeffs.coeffs)
-            return
-        cs = tuple([c if isinstance(c, Fraction) else Fraction(c) for c in coeffs])
-        end = len(cs)
-        while end and cs[end - 1] == 0:
-            end -= 1
-        object.__setattr__(self, "coeffs", cs[:end])
+    _coeff = staticmethod(_fraction)
+    _zero = Fraction(0)
+    __mul__ = _DensePoly.__mul__
 
-    @classmethod
-    def zero(cls) -> RatPoly:
-        return cls(())
-
-    @classmethod
-    def one(cls) -> RatPoly:
-        return cls((1,))
-
-    @classmethod
-    def variable(cls) -> RatPoly:
-        """The monomial z."""
-        return cls((0, 1))
-
-    @property
-    def degree(self) -> int | float:
-        """Degree; ``NEG_INFINITY`` for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INFINITY
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def lead(self) -> Fraction:
-        """Leading coefficient; rejects the zero polynomial."""
-        if not self.coeffs:
-            raise ValueError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __str__(self) -> str:
-        return _format_terms(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"RatPoly({str(self)!r})"
-
-    def _coerce(self, other) -> RatPoly | None:
-        if isinstance(other, RatPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return RatPoly((other,))
-        return None
-
-    def __add__(self, other) -> RatPoly:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RatPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> RatPoly:
-        return RatPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other) -> RatPoly:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other) -> RatPoly:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other) -> RatPoly:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if not a or not b:
-            return RatPoly(())
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return RatPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> RatPoly:
-        n = operator.index(n)
-        if n < 0:
-            raise ValueError("negative polynomial powers are not defined")
-        result = RatPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __divmod__(self, other) -> tuple[RatPoly, RatPoly]:
+    def __divmod__(self, other: RatPoly) -> tuple[RatPoly, RatPoly]:
         """Exact division with remainder: self = q*other + r, deg r < deg other.
 
         >>> divmod(RatPoly([1, -1, -1, 1]), RatPoly([-1, 1]))
         (RatPoly('z^2 - 1'), RatPoly('0'))
         """
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, RatPoly):
             return NotImplemented
-        if o.is_zero():
+        if other.is_zero():
             raise ZeroDivisionError("polynomial division by the zero polynomial")
-        if len(self.coeffs) < len(o.coeffs):
+        if len(self.coeffs) < len(other.coeffs):
             return RatPoly(()), self
-        db = len(o.coeffs) - 1
-        lb = o.coeffs[-1]
+        db = len(other.coeffs) - 1
+        lb = other.coeffs[-1]
         rem = list(self.coeffs)
         quo = [Fraction(0)] * (len(rem) - db)
         for k in range(len(quo) - 1, -1, -1):
             c = rem[k + db] / lb
             if c:
                 quo[k] = c
-                for i, bc in enumerate(o.coeffs):
+                for i, bc in enumerate(other.coeffs):
                     rem[k + i] -= c * bc
         return RatPoly(quo), RatPoly(rem[:db])
 
-    def __floordiv__(self, other) -> RatPoly:
-        return divmod(self, other)[0]
-
-    def __mod__(self, other) -> RatPoly:
+    def __mod__(self, other: RatPoly) -> RatPoly:
         return divmod(self, other)[1]
-
-    def derivative(self) -> RatPoly:
-        """Formal derivative; drops the degree by one for nonconstant input."""
-        return RatPoly([i * c for i, c in enumerate(self.coeffs) if i])
 
     def monic(self) -> RatPoly:
         if not self.coeffs:
@@ -226,70 +255,33 @@ class RatPoly:
             return self
         return RatPoly([c / lead for c in self.coeffs])
 
-    def shifted(self, k: int) -> RatPoly:
-        """Multiply by z**k."""
-        k = operator.index(k)
-        if k < 0:
-            raise ValueError("shift exponent must be non-negative")
-        if not self.coeffs:
-            return self
-        return RatPoly((Fraction(0),) * k + self.coeffs)
-
-    def __call__(self, x: CoeffLike) -> Fraction:
-        """Evaluate at a rational point by Horner's scheme."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def clear_denominators(self) -> IntPoly:
-        """Scale by the lcm of all denominators, yielding an integer polynomial."""
-        den = math.lcm(*[c.denominator for c in self.coeffs]) if self.coeffs else 1
-        return IntPoly([int(c * den) for c in self.coeffs])
-
     def to_data(self) -> list[int | str]:
         """Text form: low-to-high list of exact ints or "p/q" strings."""
-        return [_coeff_to_data(c) for c in self.coeffs]
+        return [
+            int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+            for c in self.coeffs
+        ]
 
     @classmethod
     def from_data(cls, data: Iterable[int | str]) -> RatPoly:
-        out = []
-        for item in data:
-            if isinstance(item, bool) or isinstance(item, float):
-                raise ValueError(f"non-exact polynomial coefficient: {item!r}")
-            try:
-                out.append(Fraction(item))
-            except (TypeError, ZeroDivisionError):
-                raise ValueError(f"malformed polynomial coefficient: {item!r}") from None
-        return cls(out)
+        return cls([read_rational(item, "polynomial coefficient") for item in data])
 
 
-@dataclass(frozen=True, slots=True)
-class IntPoly:
+@dataclass(frozen=True, slots=True, init=False, repr=False)
+class IntPoly(_DensePoly):
     """Dense polynomial over Z, same conventions as :class:`RatPoly`.
 
     Converts losslessly to a :class:`RatPoly` via :meth:`to_rational`.
+
+    >>> IntPoly([-1, 0, 1]) * IntPoly([1, 1])
+    IntPoly('z^3 + z^2 - z - 1')
     """
 
     coeffs: tuple[int, ...]
 
-    def __init__(self, coeffs: Iterable[int] = ()) -> None:
-        if isinstance(coeffs, IntPoly):
-            object.__setattr__(self, "coeffs", coeffs.coeffs)
-            return
-        cs = tuple([operator.index(c) for c in coeffs])
-        end = len(cs)
-        while end and cs[end - 1] == 0:
-            end -= 1
-        object.__setattr__(self, "coeffs", cs[:end])
-
-    @classmethod
-    def zero(cls) -> IntPoly:
-        return cls(())
-
-    @classmethod
-    def one(cls) -> IntPoly:
-        return cls((1,))
+    _coeff = operator.index
+    _zero = 0
+    __mul__ = _DensePoly.__mul__
 
     @classmethod
     def cyclic(cls, n: int) -> IntPoly:
@@ -298,82 +290,8 @@ class IntPoly:
             raise ValueError("cyclic index must be positive")
         return cls((-1,) + (0,) * (n - 1) + (1,))
 
-    @property
-    def degree(self) -> int | float:
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INFINITY
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def lead(self) -> int:
-        if not self.coeffs:
-            raise ValueError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __str__(self) -> str:
-        return _format_terms(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"IntPoly({str(self)!r})"
-
-    def __add__(self, other: IntPoly) -> IntPoly:
-        if not isinstance(other, IntPoly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(out)
-
-    def __neg__(self) -> IntPoly:
-        return IntPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other: IntPoly) -> IntPoly:
-        if not isinstance(other, IntPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other: IntPoly) -> IntPoly:
-        if not isinstance(other, IntPoly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPoly(())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return IntPoly(out)
-
-    def __pow__(self, n: int) -> IntPoly:
-        n = operator.index(n)
-        if n < 0:
-            raise ValueError("negative polynomial powers are not defined")
-        result = IntPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def derivative(self) -> IntPoly:
-        return IntPoly([i * c for i, c in enumerate(self.coeffs) if i])
-
-    def shifted(self, k: int) -> IntPoly:
-        k = operator.index(k)
-        if k < 0:
-            raise ValueError("shift exponent must be non-negative")
-        if not self.coeffs:
-            return self
-        return IntPoly((0,) * k + self.coeffs)
 
     def exact_div(self, other: IntPoly) -> IntPoly:
         """Divide by an exact integer-polynomial divisor.
@@ -428,18 +346,8 @@ class IntPoly:
     def to_rational(self) -> RatPoly:
         return RatPoly(self.coeffs)
 
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def to_data(self) -> list[int]:
         return [int(c) for c in self.coeffs]
-
-    @classmethod
-    def from_data(cls, data: Iterable[int]) -> IntPoly:
-        return cls(operator.index(c) for c in data)
 
 
 #: Prime for the coprimality screen in :func:`int_gcd`: the largest prime
@@ -565,37 +473,3 @@ def int_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     if shared != 1:
         prim = prim * IntPoly((shared,))
     return prim
-
-
-def gcd(a: RatPoly, b: RatPoly) -> RatPoly:
-    """Monic greatest common divisor in Q[z].
-
-    Denominators are cleared and the work happens in the integer remainder
-    sequence of :func:`int_gcd`; the result is normalized monic so equal gcds
-    always compare equal.
-
-    >>> gcd(RatPoly([1, -1, -1, 1]), RatPoly([-1, -2, 3]))
-    RatPoly('z - 1')
-    """
-    if a.is_zero() and b.is_zero():
-        raise ValueError("gcd of two zero polynomials is undefined")
-    if a.is_zero():
-        return b.monic()
-    if b.is_zero():
-        return a.monic()
-    return int_gcd(a.clear_denominators(), b.clear_denominators()).to_rational().monic()
-
-
-def squarefree_part(p: RatPoly) -> RatPoly:
-    """The monic polynomial with the same roots and all multiplicities one.
-
-    Computed as p / gcd(p, p'), the classical multiple-root elimination.
-    """
-    if p.is_zero():
-        raise ValueError("the zero polynomial has no squarefree part")
-    if p.degree == 0:
-        return RatPoly.one()
-    quotient, rem = divmod(p, gcd(p, p.derivative()))
-    if not rem.is_zero():
-        raise InternalConsistencyError("gcd does not divide its own input")
-    return quotient.monic()

@@ -3,6 +3,7 @@
 import io
 import json
 import sys
+import time
 from fractions import Fraction
 from random import Random
 
@@ -38,7 +39,7 @@ class TestParseMatrix:
             cli.parse_matrix("[[1,2],[3]]")
 
     def test_zero_denominator_located(self):
-        with pytest.raises(MatrixParseError, match=r"zero denominator at \(1,1\)"):
+        with pytest.raises(MatrixParseError, match=r"zero denominator in entry at \(1,1\)"):
             cli.parse_matrix('[["1/0"]]')
 
     def test_malformed_token_located(self):
@@ -48,6 +49,16 @@ class TestParseMatrix:
     def test_float_rejected(self):
         with pytest.raises(MatrixParseError, match="non-exact"):
             cli.parse_matrix("[[0.5]]")
+
+    @pytest.mark.parametrize("token", ["1e400", "1E2", "-2.5e-3"])
+    def test_exponent_notation_refused(self, token):
+        with pytest.raises(MatrixParseError, match=r"exponent notation .* entry at \(1,2\)"):
+            cli.parse_matrix(f'[[1, "{token}"], [0, 1]]')
+        with pytest.raises(MatrixParseError, match=r"exponent notation .* entry at \(1,2\)"):
+            cli.parse_matrix(f"1 {token}\n0 1\n", format="text")
+
+    def test_decimal_entries_accepted(self):
+        assert cli.parse_matrix('[["0.5"]]') == RatMatrix([[Fraction(1, 2)]])
 
     def test_non_square(self):
         with pytest.raises(MatrixParseError, match="must be square"):
@@ -244,6 +255,37 @@ class TestExitCodes:
         assert field in err and "Traceback" not in err
 
 
+class TestExponentNotation:
+    """A 17-byte entry like "1e999999999" must be refused before it is expanded."""
+
+    def test_json_matrix_is_2(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "decide", '[["1e999999999"]]')
+        assert (code, out) == (2, "")
+        assert "exponent notation" in err and time.perf_counter() - start < 1.0
+
+    def test_text_matrix_is_2(self, capsys, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("1E999999999\n")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "decide", "--format", "text", str(path))
+        assert (code, out) == (2, "")
+        assert "exponent notation" in err and time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("token", ["1e400", "1E2", "-2.5e-3", "1e999999999"])
+    def test_certificate_mu_coefficient_is_2(self, capsys, tmp_path, token):
+        doc = {"torsion": True, "d": 2, "k": 0, "J": [1, 2], "preperiod": 0,
+               "period": 2, "mu": [token, 0, 1]}
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "verify", "[[-1,0],[0,1]]", "--certificate", str(cert_path)
+        )
+        assert (code, out) == (2, "")
+        assert "exponent notation" in err and time.perf_counter() - start < 1.0
+
+
 class TestArgumentLimits:
     @pytest.mark.parametrize("name", ["pi", "cyclotomic", "nu", "totient", "ell", "bound"])
     def test_limit_is_served_and_one_past_is_refused(self, capsys, monkeypatch, name):
@@ -330,7 +372,9 @@ json_values = st.recursive(
 )
 entry_values = st.one_of(
     st.integers(min_value=-9, max_value=9),
-    st.sampled_from(["1/2", "-3/4", "1/0", "0x1", "1.5", " 2 ", "", "1/2/3", "+7"]),
+    st.sampled_from(
+        ["1/2", "-3/4", "1/0", "0x1", "1.5", " 2 ", "", "1/2/3", "+7", "1e400", "1E2", "-2.5e-3"]
+    ),
     json_scalars,
 )
 #: Up to three rows of up to three entries: some pass the shape checks and
@@ -383,6 +427,13 @@ class TestUntrustedInputFuzz:
         except (MatrixParseError, ValueError):
             return
         assert isinstance(result, RatMatrix)
+        if isinstance(payload, bytes):
+            payload = payload.decode("utf-8")
+        if format == "json":
+            tokens = [t for row in json.loads(payload) for t in row]
+        else:
+            tokens = payload.split()
+        assert not any(isinstance(t, str) and ("e" in t or "E" in t) for t in tokens)
 
     @given(st.one_of(certificate_like(), json_values))
     @settings(max_examples=200, deadline=None)

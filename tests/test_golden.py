@@ -47,7 +47,7 @@ class TestCyclotomicGolden:
     def test_round_trip_through_text_form(self):
         table = load("cyclotomic_64.json")
         for n, coeffs in table.items():
-            assert IntPoly.from_data(coeffs) == cyclotomic(int(n))
+            assert IntPoly(coeffs) == cyclotomic(int(n))
 
 
 class TestPiGolden:

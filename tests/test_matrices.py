@@ -398,3 +398,8 @@ class TestHelpers:
             RatMatrix.from_data([[0.5]])
         with pytest.raises(ValueError):
             RatMatrix.from_data([[True]])
+
+    @pytest.mark.parametrize("entry", [{}, None, "1/0", "x", "1e400", "1E2", "-2.5e-3"])
+    def test_from_data_refuses_malformed_entries(self, entry):
+        with pytest.raises(ValueError, match="matrix entry"):
+            RatMatrix.from_data([[1, entry], [0, 1]])

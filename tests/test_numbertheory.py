@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torsionkit.numbertheory import (
-    CyclotomicCache,
     TotientTable,
     cyclotomic,
     divisors,
@@ -143,11 +142,18 @@ class TestCyclotomic:
         assert product == IntPoly.cyclic(m)
 
     def test_fresh_cache_is_filled_and_reused(self):
-        cache = CyclotomicCache()
-        assert 6 not in cache
-        first = cyclotomic(6, cache)
-        assert 6 in cache and len(cache) >= 4
-        assert cyclotomic(6, cache) is first
+        first = cyclotomic(6)
+        assert cyclotomic(6) is first
+        cyclotomic.cache_clear()
+        assert cyclotomic.cache_info().currsize == 0
+        rebuilt = cyclotomic(6)
+        assert rebuilt == first and rebuilt is not first
+        # gamma_6 is built from gamma_1, gamma_2 and gamma_3, which stay memoised.
+        assert cyclotomic.cache_info().currsize == 4
+        assert cyclotomic(6) is rebuilt
+        for n in (0, -3):
+            with pytest.raises(ValueError):
+                cyclotomic(n)
 
 
 class TestNu:

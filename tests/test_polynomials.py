@@ -9,19 +9,13 @@ from hypothesis import strategies as st
 
 from torsionkit import polynomials
 from torsionkit.errors import InternalConsistencyError
+from torsionkit.matrices import RatMatrix, horner_matrix_eval
 from torsionkit.numbertheory import pi_poly_product
-from torsionkit.polynomials import (
-    NEG_INFINITY,
-    IntPoly,
-    RatPoly,
-    gcd,
-    int_gcd,
-    squarefree_part,
-)
+from torsionkit.polynomials import NEG_INFINITY, IntPoly, RatPoly, int_gcd
 
 from _oracles import euclid_gcd
 
-Z = RatPoly.variable()
+Z = RatPoly([0, 1])
 
 rationals = st.fractions(
     min_value=-30, max_value=30, max_denominator=12
@@ -153,37 +147,42 @@ class TestDivision:
 
 
 class TestGcd:
+    """int_gcd worked by hand, and its gcd laws read over Q[z]."""
+
     def test_euclid_by_hand(self):
-        assert gcd(RatPoly([1, -1, -1, 1]), RatPoly([-1, -2, 3])) == RatPoly([-1, 1])
+        assert int_gcd(IntPoly([1, -1, -1, 1]), IntPoly([-1, -2, 3])) == IntPoly([-1, 1])
 
     def test_one_zero_input(self):
-        assert gcd(RatPoly([2, 2]), RatPoly.zero()) == RatPoly([1, 1])
+        assert int_gcd(IntPoly([2, 2]), IntPoly.zero()) == IntPoly([2, 2])
+        assert int_gcd(IntPoly.zero(), IntPoly([-3, -3])) == IntPoly([3, 3])
 
     def test_common_factor(self):
-        assert gcd(RatPoly([-1, 0, 1]), RatPoly([1, 2, 1])) == RatPoly([1, 1])
+        assert int_gcd(IntPoly([-1, 0, 1]), IntPoly([1, 2, 1])) == IntPoly([1, 1])
 
     def test_both_zero_rejected(self):
         with pytest.raises(ValueError):
-            gcd(RatPoly.zero(), RatPoly.zero())
+            int_gcd(IntPoly.zero(), IntPoly.zero())
 
-    @given(rat_polys, rat_polys)
+    @given(int_polys, int_polys)
     def test_divides_both_and_monic(self, a, b):
         if a.is_zero() and b.is_zero():
             return
-        g = gcd(a, b)
+        g = int_gcd(a, b).to_rational().monic()
         assert g.lead() == 1
         for p in (a, b):
             if not p.is_zero():
-                assert (p % g).is_zero()
+                assert (p.to_rational() % g).is_zero()
 
-    @given(nonzero_rat_polys, nonzero_rat_polys, nonzero_rat_polys)
+    @given(nonzero_int_polys, nonzero_int_polys, nonzero_int_polys)
     @settings(max_examples=50)
     def test_common_multiplier_scales_out(self, a, b, g):
-        assert gcd(a * g, b * g) == (g.monic() * gcd(a, b)).monic()
+        unit = IntPoly([1 if g.lead() > 0 else -1])
+        assert int_gcd(a * g, b * g) == int_gcd(a, b) * g * unit
 
-    @given(nonzero_rat_polys, nonzero_rat_polys)
+    @given(nonzero_int_polys, nonzero_int_polys)
     def test_matches_textbook_euclid(self, a, b):
-        assert gcd(a, b) == euclid_gcd(a, b)
+        g = int_gcd(a, b).to_rational().monic()
+        assert g == euclid_gcd(a.to_rational(), b.to_rational())
 
 
 class TestIntGcd:
@@ -287,24 +286,29 @@ class TestContentPrimitive:
         assert IntPoly([sign * content]) * primitive == p
 
 
+def squarefree(p: IntPoly) -> IntPoly:
+    """p / gcd(p, p'), made primitive: the squarefree part as pi_poly_gcd takes it."""
+    return p.exact_div(int_gcd(p, p.derivative())).primitive()
+
+
 class TestSquarefree:
     def test_repeated_root_flattened(self):
-        assert squarefree_part(RatPoly([1, 2, 1])) == RatPoly([1, 1])
+        assert squarefree(IntPoly([1, 2, 1])) == IntPoly([1, 1])
 
     def test_constant(self):
-        assert squarefree_part(RatPoly([5])) == RatPoly.one()
+        assert squarefree(IntPoly([-5])) == IntPoly.one()
 
-    @given(nonzero_rat_polys)
+    @given(nonzero_int_polys)
     @settings(max_examples=60)
     def test_square_changes_nothing(self, p):
-        assert squarefree_part(p * p) == squarefree_part(p)
+        assert squarefree(p * p) == squarefree(p)
 
-    @given(nonzero_rat_polys)
+    @given(nonzero_int_polys)
     @settings(max_examples=60)
     def test_result_is_squarefree(self, p):
-        sf = squarefree_part(p)
+        sf = squarefree(p)
         if sf.degree >= 1:
-            assert gcd(sf, sf.derivative()) == RatPoly.one()
+            assert int_gcd(sf, sf.derivative()) == IntPoly.one()
 
 
 class TestMisc:
@@ -326,9 +330,12 @@ class TestMisc:
 
     @given(rat_polys, rationals)
     def test_evaluation_is_a_homomorphism(self, p, x):
+        def at(f):
+            return horner_matrix_eval(f, RatMatrix([[x]]))[0, 0]
+
         q = RatPoly([1, -2, 1])
-        assert (p * q)(x) == p(x) * q(x)
-        assert (p + q)(x) == p(x) + q(x)
+        assert at(p * q) == at(p) * at(q)
+        assert at(p + q) == at(p) + at(q)
 
     @given(rat_polys)
     def test_data_round_trip(self, p):
@@ -346,8 +353,69 @@ class TestMisc:
 
     @given(int_polys)
     def test_int_data_round_trip(self, p):
-        assert IntPoly.from_data(p.to_data()) == p
+        assert IntPoly(p.to_data()) == p
 
-    def test_clear_denominators(self):
-        p = RatPoly([Fraction(1, 2), Fraction(1, 3)])
-        assert p.clear_denominators() == IntPoly([3, 2])
+
+class TestSharedCore:
+    """RatPoly and IntPoly share one arithmetic core and never mix."""
+
+    @given(int_polys, int_polys, st.integers(0, 3), st.integers(0, 4))
+    def test_int_arithmetic_commutes_with_to_rational(self, p, q, n, k):
+        r, s = p.to_rational(), q.to_rational()
+        results = [
+            (p + q, r + s),
+            (p - q, r - s),
+            (-p, -r),
+            (p * q, r * s),
+            (p**n, r**n),
+            (p.derivative(), r.derivative()),
+            (p.shifted(k), r.shifted(k)),
+        ]
+        for got, expected in results:
+            assert type(got) is IntPoly
+            assert all(type(c) is int for c in got.coeffs)
+            assert got.to_rational() == expected
+
+    def test_repr_names_the_class(self):
+        assert repr(RatPoly([-1, 0, 1])) == "RatPoly('z^2 - 1')"
+        assert repr(IntPoly([-1, 0, 1])) == "IntPoly('z^2 - 1')"
+
+    def test_rings_do_not_mix(self):
+        assert RatPoly([1]) != IntPoly([1])
+        with pytest.raises(TypeError):
+            RatPoly([1, 1]) * IntPoly([1, 1])
+        with pytest.raises(TypeError):
+            IntPoly([1, 1]) + RatPoly([1, 1])
+        with pytest.raises(TypeError):
+            RatPoly([1, 1]) + 3
+
+
+class TestReadRational:
+    @pytest.mark.parametrize("token", ["1e400", "1E2", "-2.5e-3", "1e999999999"])
+    def test_exponent_notation_refused(self, token):
+        with pytest.raises(ValueError, match="exponent notation"):
+            polynomials.read_rational(token, "number")
+        with pytest.raises(ValueError, match="exponent notation"):
+            RatPoly.from_data([1, token])
+
+    @pytest.mark.parametrize(
+        "token, value",
+        [(7, 7), ("-3/6", Fraction(-1, 2)), ("0.5", Fraction(1, 2)), (" 12 ", 12)],
+    )
+    def test_exact_forms_accepted(self, token, value):
+        assert polynomials.read_rational(token, "number") == value
+
+    @pytest.mark.parametrize(
+        "token, problem",
+        [
+            (True, "non-exact"),
+            (0.5, "non-exact"),
+            (None, "malformed"),
+            ({}, "malformed"),
+            ("x", "malformed"),
+            ("1/0", "zero denominator"),
+        ],
+    )
+    def test_refusals_are_value_errors(self, token, problem):
+        with pytest.raises(ValueError, match=f"{problem}.*coefficient"):
+            polynomials.read_rational(token, "coefficient")
