@@ -36,7 +36,6 @@ from .polynomials import (
     NEG_INFINITY,
     IntPoly,
     RatPoly,
-    Rational,
     int_gcd,
 )
 from .torsion import (
@@ -78,7 +77,6 @@ __all__ = [
     "NEG_INFINITY",
     "IntPoly",
     "RatPoly",
-    "Rational",
     "int_gcd",
     "TorsionCertificate",
     "VerifyOutcome",

@@ -159,8 +159,10 @@ class RatMatrix:
         ]
 
     @classmethod
-    def from_data(cls, data: Iterable[Sequence[int | str]]) -> RatMatrix:
-        """Read a JSON matrix; every entry goes through :func:`read_rational`."""
+    def from_data(cls, data: list[list[int | str]]) -> RatMatrix:
+        """Read a JSON array of row arrays; each entry goes through :func:`read_rational`."""
+        if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+            raise ValueError(f"matrix must be an array of row arrays: {data!r}")
         return cls([[read_rational(e, "matrix entry") for e in row] for row in data])
 
 

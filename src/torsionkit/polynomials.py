@@ -25,10 +25,6 @@ from typing import Iterable, Sequence, Union
 
 from .errors import InternalConsistencyError
 
-#: Exact rational scalar; :class:`fractions.Fraction` already enforces the
-#: canonical form (positive denominator, reduced, zero is 0/1).
-Rational = Fraction
-
 #: Degree of the zero polynomial. Using minus infinity keeps degree
 #: comparisons and sums honest (``deg r < deg b`` holds for a zero remainder).
 NEG_INFINITY = float("-inf")
@@ -189,9 +185,39 @@ class _DensePoly:
             return self
         return type(self)((self._zero,) * k + self.coeffs)
 
+    def _divide(self, other) -> tuple[list, list]:
+        """Long division: quotient and remainder coefficient lists.
+
+        self = q*other + r with deg r < deg other. Each quotient coefficient
+        is the subclass's ``_quotient_step`` of a remainder coefficient by
+        the leading coefficient of ``other``.
+        """
+        if not other.coeffs:
+            raise ZeroDivisionError("polynomial division by the zero polynomial")
+        db = len(other.coeffs) - 1
+        lb = other.coeffs[-1]
+        step = self._quotient_step
+        rem = list(self.coeffs)
+        # Empty when deg self < deg other: then the remainder is self.
+        quo = [self._zero] * (len(rem) - db)
+        for k in range(len(quo) - 1, -1, -1):
+            c = step(rem[k + db], lb)
+            if c:
+                quo[k] = c
+                for i, bc in enumerate(other.coeffs):
+                    rem[k + i] -= c * bc
+        return quo, rem[:db]
+
 
 def _fraction(c: CoeffLike) -> Fraction:
     return c if isinstance(c, Fraction) else Fraction(c)
+
+
+def _int_quotient(a: int, b: int) -> int:
+    q, leftover = divmod(a, b)
+    if leftover:
+        raise InternalConsistencyError("non-integer quotient step in Z[z] division")
+    return q
 
 
 # Each subclass binds __mul__ in its own class body, because bench/spans.py
@@ -218,6 +244,7 @@ class RatPoly(_DensePoly):
 
     _coeff = staticmethod(_fraction)
     _zero = Fraction(0)
+    _quotient_step = operator.truediv
     __mul__ = _DensePoly.__mul__
 
     def __divmod__(self, other: RatPoly) -> tuple[RatPoly, RatPoly]:
@@ -228,21 +255,8 @@ class RatPoly(_DensePoly):
         """
         if not isinstance(other, RatPoly):
             return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by the zero polynomial")
-        if len(self.coeffs) < len(other.coeffs):
-            return RatPoly(()), self
-        db = len(other.coeffs) - 1
-        lb = other.coeffs[-1]
-        rem = list(self.coeffs)
-        quo = [Fraction(0)] * (len(rem) - db)
-        for k in range(len(quo) - 1, -1, -1):
-            c = rem[k + db] / lb
-            if c:
-                quo[k] = c
-                for i, bc in enumerate(other.coeffs):
-                    rem[k + i] -= c * bc
-        return RatPoly(quo), RatPoly(rem[:db])
+        quo, rem = self._divide(other)
+        return RatPoly(quo), RatPoly(rem)
 
     def __mod__(self, other: RatPoly) -> RatPoly:
         return divmod(self, other)[1]
@@ -281,6 +295,7 @@ class IntPoly(_DensePoly):
 
     _coeff = operator.index
     _zero = 0
+    _quotient_step = staticmethod(_int_quotient)
     __mul__ = _DensePoly.__mul__
 
     @classmethod
@@ -293,55 +308,36 @@ class IntPoly(_DensePoly):
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
+    def __divmod__(self, other: IntPoly) -> tuple[IntPoly, IntPoly]:
+        """Division with remainder in Z[z], as for :class:`RatPoly`.
+
+        Every quotient step must be an integer, as it is for a monic
+        divisor; one that is not is an internal-consistency fault.
+
+        >>> divmod(IntPoly([2, 0, 0, 1]), IntPoly([1, 1, 1]))
+        (IntPoly('z - 1'), IntPoly('3'))
+        """
+        if not isinstance(other, IntPoly):
+            return NotImplemented
+        quo, rem = self._divide(other)
+        return IntPoly(quo), IntPoly(rem)
+
     def exact_div(self, other: IntPoly) -> IntPoly:
         """Divide by an exact integer-polynomial divisor.
 
         The caller asserts divisibility; a nonzero remainder (or a non-integer
         quotient step) is an internal-consistency fault and aborts loudly.
         """
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by the zero polynomial")
-        if self.is_zero():
-            return self
-        db = len(other.coeffs) - 1
-        lb = other.coeffs[-1]
-        rem = list(self.coeffs)
-        if len(rem) - 1 < db:
-            raise InternalConsistencyError(
-                f"exact division failed: degree {len(rem) - 1} < divisor degree {db}"
-            )
-        quo = [0] * (len(rem) - db)
-        for k in range(len(quo) - 1, -1, -1):
-            c, leftover = divmod(rem[k + db], lb)
-            if leftover:
-                raise InternalConsistencyError(
-                    "exact division failed: leading coefficient not divisible"
-                )
-            if c:
-                quo[k] = c
-                for i, bc in enumerate(other.coeffs):
-                    rem[k + i] -= c * bc
-        if any(rem[:db]):
+        quo, rem = divmod(self, other)
+        if rem.coeffs:
             raise InternalConsistencyError("exact division failed: nonzero remainder")
-        return IntPoly(quo)
-
-    def content_and_primitive(self) -> tuple[int, int, IntPoly]:
-        """Split into ``(sign, content, primitive)`` with p = sign*content*primitive.
-
-        content > 0 is the gcd of the coefficients; the primitive part has
-        coefficient gcd 1 and a positive leading coefficient, the leading sign
-        being reported separately. Rejects the zero polynomial.
-        """
-        if not self.coeffs:
-            raise ValueError("the zero polynomial has no content decomposition")
-        content = math.gcd(*self.coeffs)
-        sign = -1 if self.coeffs[-1] < 0 else 1
-        scale = sign * content
-        return sign, content, IntPoly([c // scale for c in self.coeffs])
+        return quo
 
     def primitive(self) -> IntPoly:
-        """Primitive part with positive leading coefficient."""
-        return self.content_and_primitive()[2]
+        """Primitive part with positive leading coefficient; rejects zero."""
+        if not self.coeffs:
+            raise ValueError("the zero polynomial has no primitive part")
+        return IntPoly(_primitive_list(self.coeffs))
 
     def to_rational(self) -> RatPoly:
         return RatPoly(self.coeffs)
@@ -356,6 +352,7 @@ _SCREEN_PRIME = 1073741789
 
 
 def _primitive_list(coeffs) -> list:
+    # Primitive part of nonzero coefficients, with a positive leading one.
     # In a remainder sequence the content is nearly always the gcd of the two
     # end coefficients. Try that first, at one divmod per coefficient; a
     # coefficient it does not divide lowers it, and the quotients found so
@@ -453,15 +450,13 @@ def int_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     if a.is_zero() and b.is_zero():
         raise ValueError("gcd of two zero polynomials is undefined")
     if a.is_zero() or b.is_zero():
-        _, content, prim = (b if a.is_zero() else a).content_and_primitive()
-        return prim * IntPoly((content,))
-    _, ca, pa = a.content_and_primitive()
-    _, cb, pb = b.content_and_primitive()
-    shared = math.gcd(ca, cb)
-    if _coprime_mod_p(pa.coeffs, pb.coeffs):
+        p = b if a.is_zero() else a
+        return -p if p.lead() < 0 else p
+    shared = math.gcd(*a.coeffs, *b.coeffs)
+    f = _primitive_list(a.coeffs)
+    g = _primitive_list(b.coeffs)
+    if _coprime_mod_p(f, g):
         return IntPoly((shared,))
-    f = list(pa.coeffs)
-    g = list(pb.coeffs)
     if len(f) < len(g):
         f, g = g, f
     while g:

@@ -146,11 +146,11 @@ def decide_torsion_annihilation(m: RatMatrix, faithful: bool = False) -> bool:
 def torsion_certificate(m: RatMatrix) -> TorsionCertificate:
     """Decide torsion by factoring the minimal polynomial.
 
-    mu is split as z**k times a remainder; the remainder is trial-divided by
-    the cyclotomics gamma_j in ascending j, each used at most once (the
-    target polynomial is squarefree, so repeated factors can never occur).
-    The matrix is torsion iff the remainder fully dissolves into such
-    factors. Non-torsion is a normal result, not an error.
+    mu is monic, so a torsion mu is z**k times cyclotomics in Z[z], and a
+    non-integer coefficient answers non-torsion at once. Otherwise the rest
+    of mu after z**k is trial-divided in Z[z] by the cyclotomics gamma_j in
+    ascending j, each used at most once (it is squarefree), and M is torsion
+    iff it dissolves into such factors. Non-torsion is not an error.
 
     >>> torsion_certificate(RatMatrix([[0, 1], [0, 0]])).preperiod
     2
@@ -160,18 +160,20 @@ def torsion_certificate(m: RatMatrix) -> TorsionCertificate:
     d = m.order
     mu = minimal_polynomial(m)
     k = next(i for i, c in enumerate(mu.coeffs) if c)
-    rem = RatPoly(mu.coeffs[k:])
+    if any(c.denominator != 1 for c in mu.coeffs):
+        return TorsionCertificate(False, d, k, None, k, None, mu)
+    rem = IntPoly([c.numerator for c in mu.coeffs[k:]])
     indices = []
     for j in range(1, torsion_bound(d) + 1):
         if rem.degree == 0:
             break
         if totient(j) > rem.degree:
             continue
-        quotient, leftover = divmod(rem, cyclotomic(j).to_rational())
+        quotient, leftover = divmod(rem, cyclotomic(j))
         if leftover.is_zero():
             indices.append(j)
             rem = quotient
-    if rem != RatPoly.one():
+    if rem != IntPoly.one():
         return TorsionCertificate(False, d, k, None, k, None, mu)
     J = frozenset(indices)
     if k + sum(totient(j) for j in J) != mu.degree:
@@ -196,10 +198,10 @@ class VerifyOutcome:
 def verify_certificate(m: RatMatrix, c: TorsionCertificate) -> VerifyOutcome:
     """Re-check a torsion claim from first principles.
 
-    Rebuilds z**k times the claimed cyclotomics and compares against the
-    stated mu, then confirms the degree bound, the preperiod convention,
-    the period as lcm(J), that mu annihilates M, and finally the power
-    identity M^(preperiod+period) = M^preperiod by direct binary powering.
+    Rebuilds z**k times the claimed cyclotomics in Z[z] and compares it
+    with the stated mu, then confirms the degree bound, the preperiod
+    convention, the period as lcm(J), that mu annihilates M, and finally the
+    power identity M^(preperiod+period) = M^preperiod by binary powering.
     Each failure carries a short reason code.
 
     >>> M = RatMatrix([[0, -1], [1, 1]])
@@ -221,10 +223,11 @@ def verify_certificate(m: RatMatrix, c: TorsionCertificate) -> VerifyOutcome:
     d = m.order
     if any(j > 2 * d * d for j in c.J) or c.k + sum(totient(j) for j in c.J) != c.mu.degree:
         return VerifyOutcome(False, "mu mismatch")
-    rebuilt = RatPoly.one().shifted(c.k)
+    rebuilt = IntPoly.one().shifted(c.k)
     for j in sorted(c.J):
-        rebuilt = rebuilt * cyclotomic(j).to_rational()
-    if rebuilt != c.mu:
+        rebuilt = rebuilt * cyclotomic(j)
+    # Canonical coefficient tuples: int == Fraction compares the values.
+    if rebuilt.coeffs != c.mu.coeffs:
         return VerifyOutcome(False, "mu mismatch")
     if c.period != (math.lcm(*c.J) if c.J else 1):
         return VerifyOutcome(False, "period mismatch")

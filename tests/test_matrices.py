@@ -399,6 +399,11 @@ class TestHelpers:
         with pytest.raises(ValueError):
             RatMatrix.from_data([[True]])
 
+    @pytest.mark.parametrize("data", [[5], None, "ab", [[1], 2], ([1],), 7])
+    def test_from_data_refuses_non_array_rows(self, data):
+        with pytest.raises(ValueError, match="array of row arrays"):
+            RatMatrix.from_data(data)
+
     @pytest.mark.parametrize("entry", [{}, None, "1/0", "x", "1e400", "1E2", "-2.5e-3"])
     def test_from_data_refuses_malformed_entries(self, entry):
         with pytest.raises(ValueError, match="matrix entry"):

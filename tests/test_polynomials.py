@@ -146,6 +146,40 @@ class TestDivision:
         assert r.degree < b.degree
 
 
+monic_int_polys = st.builds(
+    lambda low: IntPoly(low + [1]),
+    st.lists(st.integers(min_value=-40, max_value=40), max_size=5),
+)
+
+
+class TestIntDivision:
+    """divmod in Z[z] is the same long division as in Q[z]."""
+
+    @given(int_polys, monic_int_polys)
+    def test_matches_rational_division(self, a, b):
+        q, r = divmod(a, b)
+        assert type(q) is IntPoly and type(r) is IntPoly
+        assert (q.to_rational(), r.to_rational()) == divmod(a.to_rational(), b.to_rational())
+        assert a == q * b + r
+        assert r.degree < b.degree
+
+    def test_non_integer_quotient_step_is_a_fault(self):
+        with pytest.raises(InternalConsistencyError):
+            divmod(IntPoly([1, 1]), IntPoly([1, 2]))
+
+    def test_zero_divisor_rejected(self):
+        with pytest.raises(ZeroDivisionError):
+            divmod(IntPoly([1, 1]), IntPoly.zero())
+
+    def test_rings_do_not_mix(self):
+        with pytest.raises(TypeError):
+            divmod(IntPoly([1, 1]), RatPoly([1, 1]))
+
+    def test_exact_div_is_divmod_with_zero_remainder(self):
+        assert IntPoly([-1, 0, 0, 1]).exact_div(IntPoly([-1, 1])) == IntPoly([1, 1, 1])
+        assert IntPoly.zero().exact_div(IntPoly([-1, 1])) == IntPoly.zero()
+
+
 class TestGcd:
     """int_gcd worked by hand, and its gcd laws read over Q[z]."""
 
@@ -207,7 +241,7 @@ class TestIntGcd:
         x, y = a * c, b * c
         g = int_gcd(x, y)
         assert g.to_rational().monic() == euclid_gcd(x.to_rational(), y.to_rational())
-        contents = [q.content_and_primitive()[1] for q in (x, y, g)]
+        contents = [math.gcd(*q.coeffs) for q in (x, y, g)]
         assert contents[2] == math.gcd(contents[0], contents[1])
 
     def test_screen_prime_dividing_a_leading_coefficient(self):
@@ -244,7 +278,8 @@ class TestRemainderSequenceSteps:
     @given(int_coeff_lists, st.integers(min_value=1, max_value=10**20))
     def test_primitive_part_matches_content_split(self, coeffs, scale):
         scaled = [c * scale for c in coeffs]
-        assert polynomials._primitive_list(scaled) == list(IntPoly(scaled).primitive().coeffs)
+        g = math.gcd(*scaled) * (-1 if scaled[-1] < 0 else 1)
+        assert polynomials._primitive_list(scaled) == [c // g for c in scaled]
 
     def test_primitive_part_when_end_coefficients_overshoot(self):
         # gcd(6, -12) = 6, but the content is 3.
@@ -264,25 +299,35 @@ class TestRemainderSequenceSteps:
 
 
 class TestContentPrimitive:
+    """The content is math.gcd of the coefficients; primitive() divides it out."""
+
     def test_even_content(self):
-        assert IntPoly([-2, 0, 2]).content_and_primitive() == (1, 2, IntPoly([-1, 0, 1]))
+        p = IntPoly([-2, 0, 2])
+        assert math.gcd(*p.coeffs) == 2
+        assert p.primitive() == IntPoly([-1, 0, 1])
 
     def test_negative_leading_sign_exposed(self):
-        sign, content, primitive = IntPoly([0, -3]).content_and_primitive()
-        assert (sign, content, primitive) == (-1, 3, IntPoly([0, 1]))
+        p = IntPoly([0, -3])
+        assert math.gcd(*p.coeffs) == 3
+        assert p.primitive() == IntPoly([0, 1])
+        assert IntPoly([-3]) * p.primitive() == p
 
     def test_already_primitive(self):
-        assert IntPoly([-1, 0, 1]).content_and_primitive() == (1, 1, IntPoly([-1, 0, 1]))
+        p = IntPoly([-1, 0, 1])
+        assert math.gcd(*p.coeffs) == 1
+        assert p.primitive() == p
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            IntPoly.zero().content_and_primitive()
+            IntPoly.zero().primitive()
 
     @given(nonzero_int_polys)
     def test_reconstruction(self, p):
-        sign, content, primitive = p.content_and_primitive()
-        assert sign in (-1, 1) and content > 0
-        assert primitive.lead() > 0
+        sign = -1 if p.lead() < 0 else 1
+        content = math.gcd(*p.coeffs)
+        primitive = p.primitive()
+        assert content > 0
+        assert primitive.lead() > 0 and math.gcd(*primitive.coeffs) == 1
         assert IntPoly([sign * content]) * primitive == p
 
 

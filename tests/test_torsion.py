@@ -16,7 +16,7 @@ from torsionkit.matrices import (
     mat_pow,
 )
 from torsionkit.numbertheory import cyclotomic, pi_poly_product, torsion_bound, totient
-from torsionkit.polynomials import RatPoly
+from torsionkit.polynomials import IntPoly, RatPoly
 from torsionkit.torsion import (
     TorsionCertificate,
     check_power_equivalence,
@@ -27,7 +27,7 @@ from torsionkit.torsion import (
 )
 
 from _corpus import get_corpus, permutation_matrix
-from _oracles import conjugate, unimodular_pair
+from _oracles import conjugate, rational_diagonal_pair, unimodular_pair
 
 ROTATION = RatMatrix([[0, -1], [1, 0]])
 NILPOTENT = RatMatrix([[0, 1], [0, 0]])
@@ -148,6 +148,41 @@ class TestCertificate:
         c = torsion_certificate(m)
         assert (c.k, c.J, c.preperiod, c.period) == (2, frozenset({4}), 2, 4)
 
+    def test_non_integral_mu_is_not_torsion(self):
+        # mu = z^2 - z/2 = z * (z - 1/2): refused before any trial division.
+        c = torsion_certificate(RatMatrix([[0, 0], [0, Fraction(1, 2)]]))
+        assert c == TorsionCertificate(False, 2, 1, None, 1, None, RatPoly([0, Fraction(-1, 2), 1]))
+        assert c.to_data() == {"torsion": False, "d": 2, "k": 1, "preperiod": 1, "mu": [0, "-1/2", 1]}
+
+    def test_rational_conjugate_of_cyclotomic_blocks(self):
+        # Rational entries, but mu = z^2 * gamma_5 * gamma_6 lies in Z[z].
+        blocks = block_diag(
+            NILPOTENT,
+            companion_matrix(cyclotomic(5).to_rational()),
+            GAMMA6_COMPANION,
+        )
+        rng = Random(5)
+        for _ in range(4):
+            m = conjugate(blocks, *rational_diagonal_pair(rng, blocks.order))
+            assert any(e.denominator != 1 for row in m.rows for e in row)
+            c = torsion_certificate(m)
+            assert (c.torsion, c.k, c.J, c.period) == (True, 2, frozenset({5, 6}), 30)
+            assert c.mu == RatPoly([0, 0, 1]) * (cyclotomic(5) * cyclotomic(6)).to_rational()
+            assert verify_certificate(m, c)
+
+    def test_no_rational_division_or_conversion(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("certificate arithmetic left Z[z]")
+
+        corpus = get_corpus()
+        monkeypatch.setattr(RatPoly, "__divmod__", refuse)
+        monkeypatch.setattr(IntPoly, "to_rational", refuse)
+        for e in corpus:
+            c = torsion_certificate(e.matrix)
+            assert c.torsion == e.torsion, e.name
+            if c.torsion:
+                assert verify_certificate(e.matrix, c), e.name
+
     def test_data_round_trip_torsion(self):
         c = torsion_certificate(GAMMA6_COMPANION)
         doc = c.to_data()
@@ -245,7 +280,7 @@ class TestVerify:
 
         def start():
             log = {"cyclotomic": [], "totient": [], "shifted": []}
-            original_shifted = RatPoly.shifted
+            original_shifted = IntPoly.shifted
 
             # Each spy refuses work too large to finish, so that a missing
             # bound fails the test instead of hanging it.
@@ -269,7 +304,7 @@ class TestVerify:
 
             monkeypatch.setattr(torsion_module, "cyclotomic", recording_cyclotomic)
             monkeypatch.setattr(torsion_module, "totient", recording_totient)
-            monkeypatch.setattr(RatPoly, "shifted", recording_shifted)
+            monkeypatch.setattr(IntPoly, "shifted", recording_shifted)
             return log
 
         return start
