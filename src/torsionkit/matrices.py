@@ -5,15 +5,16 @@ Everything here is immutable and pure: multiplication, binary powering
 polynomial at a matrix, and minimal polynomial extraction from Krylov
 sequences of the standard basis vectors. No floating point anywhere.
 
-Entries are :class:`~fractions.Fraction` at every interface, but the hot
-loops run on plain integers: a row or column is scaled by the lcm of its
-denominators, the arithmetic is done on the numerators, and each result
-entry becomes a Fraction once, at the end. The minimal polynomial scales
-the whole matrix to integers once and then needs only integer
-matrix-vector products, never a matrix product. Tuples on these paths are
-built from lists, never from generators: CPython grows a generator-built
-tuple from a 10-slot buffer and parks the freed small tuples on per-size
-free lists, which only a full garbage collection empties.
+A matrix is stored as one grid of integers over one common denominator,
+in lowest terms, so products, powers and Horner steps run on plain
+integers and build no Fraction; entries are read back as reduced
+Fractions through :attr:`RatMatrix.rows` for output. The minimal
+polynomial works on the integer grid directly and needs only
+matrix-vector products, never a matrix product. Tuples on these paths
+are built from lists, never from generators: CPython grows a
+generator-built tuple from a 10-slot buffer and parks the freed small
+tuples on per-size free lists, which only a full garbage collection
+empties.
 """
 
 from __future__ import annotations
@@ -34,22 +35,32 @@ EntryLike = Union[int, Fraction]
 class RatMatrix:
     """Immutable square matrix of exact rationals.
 
+    The entries are ``num[i][j] / den`` with ``den >= 1`` and no common
+    factor of ``den`` and every ``num`` entry, so each matrix has one
+    representation and ``==`` and ``hash`` compare values.
+
     >>> RatMatrix([[0, -1], [1, 0]]).order
     2
     >>> RatMatrix([[0, -1], [1, 0]]) * RatMatrix([[0, -1], [1, 0]])
     RatMatrix([[-1, 0], [0, -1]])
+    >>> m = RatMatrix([["1/2", 3], [0, "-1/3"]])
+    >>> m.num, m.den
+    (((3, 18), (0, -2)), 6)
     """
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    num: tuple[tuple[int, ...], ...]
+    den: int
 
     def __init__(self, rows: Iterable[Sequence[EntryLike]]) -> None:
         if isinstance(rows, RatMatrix):
-            object.__setattr__(self, "rows", rows.rows)
+            object.__setattr__(self, "num", rows.num)
+            object.__setattr__(self, "den", rows.den)
             return
-        grid = tuple([
-            tuple([e if isinstance(e, Fraction) else Fraction(e) for e in row])
+        # An int is its own numerator over 1; anything else becomes a Fraction.
+        grid = [
+            [e if isinstance(e, (int, Fraction)) else Fraction(e) for e in row]
             for row in rows
-        ])
+        ]
         d = len(grid)
         if d == 0:
             raise ValueError("matrix order must be at least 1")
@@ -58,30 +69,36 @@ class RatMatrix:
                 raise ValueError(
                     f"matrix must be square: {d} rows but row {i} has {len(row)} entries"
                 )
-        object.__setattr__(self, "rows", grid)
+        # For each prime p of den, the entry whose denominator holds all of
+        # p's power in den keeps a numerator prime to p, so this grid is
+        # already in lowest terms.
+        den = math.lcm(*[e.denominator for row in grid for e in row])
+        object.__setattr__(self, "num", tuple([
+            tuple([e.numerator * (den // e.denominator) for e in row]) for row in grid
+        ]))
+        object.__setattr__(self, "den", den)
 
-    @classmethod
-    def _wrap(cls, rows: tuple[tuple[Fraction, ...], ...]) -> RatMatrix:
-        """Adopt rows already known to be square tuples of Fractions."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
-        return m
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as reduced Fractions, row by row."""
+        den = self.den
+        return tuple([tuple([Fraction(x, den) for x in row]) for row in self.num])
 
     @property
     def order(self) -> int:
-        return len(self.rows)
+        return len(self.num)
 
     @classmethod
     def identity(cls, d: int) -> RatMatrix:
         if d < 1:
             raise ValueError("matrix order must be at least 1")
-        return cls([[1 if i == j else 0 for j in range(d)] for i in range(d)])
+        return _adopt([[1 if i == j else 0 for j in range(d)] for i in range(d)], 1)
 
     @classmethod
     def zeros(cls, d: int) -> RatMatrix:
         if d < 1:
             raise ValueError("matrix order must be at least 1")
-        return cls([[0] * d for _ in range(d)])
+        return _adopt([[0] * d for _ in range(d)], 1)
 
     @classmethod
     def scalar(cls, d: int, value: EntryLike) -> RatMatrix:
@@ -92,15 +109,15 @@ class RatMatrix:
 
     def __getitem__(self, pos: tuple[int, int]) -> Fraction:
         i, j = pos
-        return self.rows[i][j]
+        return Fraction(self.num[i][j], self.den)
 
     def is_zero(self) -> bool:
-        return all(not e for row in self.rows for e in row)
+        return not any(map(any, self.num))
 
     def is_identity(self) -> bool:
-        return all(
+        return self.den == 1 and all(
             e == (1 if i == j else 0)
-            for i, row in enumerate(self.rows)
+            for i, row in enumerate(self.num)
             for j, e in enumerate(row)
         )
 
@@ -109,24 +126,18 @@ class RatMatrix:
             return NotImplemented
         if self.order != other.order:
             raise ValueError(f"order mismatch: {self.order} vs {other.order}")
-        return RatMatrix(
+        return _lowest_terms(
             [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
+                [x * other.den + y * self.den for x, y in zip(ra, rb)]
+                for ra, rb in zip(self.num, other.num)
+            ],
+            self.den * other.den,
         )
 
     def __sub__(self, other: RatMatrix) -> RatMatrix:
         if not isinstance(other, RatMatrix):
             return NotImplemented
-        if self.order != other.order:
-            raise ValueError(f"order mismatch: {self.order} vs {other.order}")
-        return RatMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
+        return self + other.scaled(-1)
 
     def __mul__(self, other: RatMatrix) -> RatMatrix:
         if not isinstance(other, RatMatrix):
@@ -138,7 +149,9 @@ class RatMatrix:
 
     def scaled(self, factor: EntryLike) -> RatMatrix:
         f = Fraction(factor)
-        return RatMatrix([[f * e for e in row] for row in self.rows])
+        return _lowest_terms(
+            [[x * f.numerator for x in row] for row in self.num], self.den * f.denominator
+        )
 
     def __str__(self) -> str:
         cells = [[str(e) for e in row] for row in self.rows]
@@ -166,32 +179,42 @@ class RatMatrix:
         return cls([[read_rational(e, "matrix entry") for e in row] for row in data])
 
 
-def _scaled(entries: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integers n and a scale s >= 1 with entries[i] == n[i] / s, s minimal."""
-    s = math.lcm(*[e.denominator for e in entries])
-    if s == 1:
-        return [e.numerator for e in entries], 1
-    return [e.numerator * (s // e.denominator) for e in entries], s
+def _adopt(num: Sequence[Sequence[int]], den: int) -> RatMatrix:
+    """The matrix num / den, which the caller knows to be in lowest terms."""
+    m = object.__new__(RatMatrix)
+    object.__setattr__(m, "num", tuple([tuple(row) for row in num]))
+    object.__setattr__(m, "den", den)
+    return m
+
+
+def _lowest_terms(num: Sequence[Sequence[int]], den: int) -> RatMatrix:
+    """The matrix num / den, brought to lowest terms by one gcd over the grid."""
+    if den != 1:
+        g = den
+        for row in num:
+            g = math.gcd(g, *row)
+            if g == 1:
+                break
+        else:
+            num = [[x // g for x in row] for row in num]
+            den //= g
+    return _adopt(num, den)
 
 
 def mat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     """Exact matrix product; orders must match.
 
-    Each row of a and column of b is scaled to integers, so an entry costs
-    one integer dot product and one Fraction normalization.
+    An entry is one integer dot product of a row of ``a.num`` with a
+    column of ``b.num``; the result is over ``a.den * b.den``, with one
+    gcd over the grid to bring it to lowest terms.
     """
     if a.order != b.order:
         raise ValueError(f"order mismatch: {a.order} vs {b.order}")
-    cols = [_scaled(col) for col in zip(*b.rows)]
-    out = []
-    for row, ra in [_scaled(row) for row in a.rows]:
-        entries = []
-        for col, cb in cols:
-            dot = sum(map(mul, row, col))
-            den = ra * cb
-            entries.append(Fraction(dot) if den == 1 else Fraction(dot, den))
-        out.append(tuple(entries))
-    return RatMatrix._wrap(tuple(out))
+    cols = list(zip(*b.num))
+    return _lowest_terms(
+        [tuple([sum(map(mul, row, col)) for col in cols]) for row in a.num],
+        a.den * b.den,
+    )
 
 
 def mat_pow(m: RatMatrix, e: int) -> RatMatrix:
@@ -216,9 +239,11 @@ def mat_pow(m: RatMatrix, e: int) -> RatMatrix:
 def horner_matrix_eval(p: IntPoly | RatPoly, m: RatMatrix) -> RatMatrix:
     """p(M) by Horner's scheme: one product per coefficient.
 
-    Each nonzero coefficient is added straight onto the diagonal. Only
-    ``p.coeffs`` is read, and ``Fraction + int`` is exact, so an integer
-    polynomial is evaluated as it is, without a conversion to rationals.
+    Each nonzero coefficient c is added straight onto the diagonal of the
+    integer grid. An integer c adds ``c * den``, which leaves the grid in
+    lowest terms; a Fraction c scales the grid by its denominator first.
+    Only ``p.coeffs`` is read, so an integer polynomial is evaluated as it
+    is, without a conversion to rationals.
 
     >>> horner_matrix_eval(RatPoly([-1, 0, 1]), RatMatrix([[0, -1], [1, 0]]))
     RatMatrix([[-2, 0], [0, -2]])
@@ -227,20 +252,20 @@ def horner_matrix_eval(p: IntPoly | RatPoly, m: RatMatrix) -> RatMatrix:
     for c in reversed(p.coeffs):
         acc = mat_mul(acc, m)
         if c:
-            rows = []
-            for i, row in enumerate(acc.rows):
-                entries = list(row)
-                entries[i] += c
-                rows.append(tuple(entries))
-            acc = RatMatrix._wrap(tuple(rows))
+            cd = c.denominator
+            shift = c.numerator * acc.den
+            num = [list(row) if cd == 1 else [x * cd for x in row] for row in acc.num]
+            for i, row in enumerate(num):
+                row[i] += shift
+            acc = _adopt(num, acc.den) if cd == 1 else _lowest_terms(num, acc.den * cd)
     return acc
 
 
-def _mat_vec(a: list[list[int]], v: list[int]) -> list[int]:
+def _mat_vec(a: Sequence[Sequence[int]], v: list[int]) -> list[int]:
     return [sum(map(mul, row, v)) for row in a]
 
 
-def _krylov_annihilator(a: list[list[int]], u: list[int]) -> list[int]:
+def _krylov_annihilator(a: Sequence[Sequence[int]], u: list[int]) -> list[int]:
     """Integer coefficients of the least r, up to scale, with r(A)u == 0.
 
     Looks for the first linear dependence among u, Au, A^2 u, ... by
@@ -284,10 +309,10 @@ def _krylov_annihilator(a: list[list[int]], u: list[int]) -> list[int]:
 def minimal_polynomial(m: RatMatrix) -> RatPoly:
     """The monic generator of all polynomials that vanish at M.
 
-    Works on the integer matrix A = s*M, s the lcm of all denominators,
-    and builds its minimal polynomial mu_A one basis vector at a time.
-    Starting from mu = 1, for each e_i it forms u = mu(A) e_i by Horner
-    on a vector, finds the least r with r(A) u == 0 from the Krylov
+    Works on the integer matrix A = s*M, which is ``m.num`` with s =
+    ``m.den``, and builds its minimal polynomial mu_A one basis vector at
+    a time. Starting from mu = 1, for each e_i it forms u = mu(A) e_i by
+    Horner on a vector, finds the least r with r(A) u == 0 from the Krylov
     sequence u, Au, A^2 u, ... (see :func:`_krylov_annihilator`), and
     replaces mu by the primitive part of mu*r. Since the annihilator of
     mu(A) e_i is that of e_i divided by its gcd with mu, mu*r is the lcm
@@ -300,8 +325,7 @@ def minimal_polynomial(m: RatMatrix) -> RatPoly:
     RatPoly('z^2 - 3*z + 2')
     """
     d = m.order
-    s = math.lcm(*[e.denominator for row in m.rows for e in row])
-    a = [[e.numerator * (s // e.denominator) for e in row] for row in m.rows]
+    a, s = m.num, m.den
     mu = IntPoly.one()
     for i in range(d):
         # u = mu(A) e_i by Horner, the leading coefficient first.

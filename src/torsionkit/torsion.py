@@ -66,8 +66,8 @@ class TorsionCertificate:
         """Read a JSON certificate document, refusing anything but exact types.
 
         ``torsion`` must be a JSON boolean, the counts JSON integers (not
-        booleans, not floats) of the right sign, and ``J`` and ``mu`` arrays.
-        Every defect raises ValueError.
+        booleans, not floats) of the right sign, ``J`` an array of distinct
+        indices and ``mu`` an array. Every defect raises ValueError.
         """
         if not isinstance(doc, dict):
             raise ValueError("certificate document must be a JSON object")
@@ -89,6 +89,8 @@ class TorsionCertificate:
                 J = doc["J"]
                 if not isinstance(J, list) or not all(_is_count(j, 1) for j in J):
                     raise ValueError("certificate field 'J' must be an array of positive integers")
+                if len(set(J)) != len(J):
+                    raise ValueError("certificate field 'J' repeats an index")
                 J = frozenset(J)
                 period = _count_field(doc, "period", 1)
         except KeyError as missing:
@@ -241,11 +243,11 @@ def verify_certificate(m: RatMatrix, c: TorsionCertificate) -> VerifyOutcome:
 def oracle_cycle_detect(m: RatMatrix, cap: int) -> tuple[int, int] | None:
     """First (p, q) with p < q <= cap and M^p = M^q, by brute force.
 
-    Walks M, M^2, ..., M^cap, keying a lookup table by each power's rows:
-    entries are reduced Fractions, so equal powers have equal keys, and no
-    entry is ever turned into a string. Finding nothing within cap proves
-    nothing; this exists to check the clever methods on small instances,
-    not to decide.
+    Walks M, M^2, ..., M^cap, keying a lookup table by each power itself:
+    a matrix is one integer grid over one denominator in lowest terms, so
+    equal powers have equal keys, and no entry is ever turned into a
+    string. Finding nothing within cap proves nothing; this exists to
+    check the clever methods on small instances, not to decide.
 
     >>> oracle_cycle_detect(RatMatrix([[0, -1], [1, 0]]), 10)
     (1, 5)
@@ -254,13 +256,13 @@ def oracle_cycle_detect(m: RatMatrix, cap: int) -> tuple[int, int] | None:
     """
     if cap < 1:
         raise ValueError(f"cap must be positive, got {cap}")
-    seen: dict[tuple, int] = {}
+    seen: dict[RatMatrix, int] = {}
     power = RatMatrix.identity(m.order)
     for e in range(1, cap + 1):
         power = mat_mul(power, m)
-        if power.rows in seen:
-            return seen[power.rows], e
-        seen[power.rows] = e
+        if power in seen:
+            return seen[power], e
+        seen[power] = e
     return None
 
 

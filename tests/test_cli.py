@@ -239,7 +239,7 @@ class TestExitCodes:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "field, value", [("torsion", "false"), ("d", 2.9), ("J", "12")]
+        "field, value", [("torsion", "false"), ("d", 2.9), ("J", "12"), ("J", [1, 2, 2])]
     )
     def test_malformed_certificate_is_2(self, capsys, tmp_path, field, value):
         # Each of these once read as a valid certificate for diag(-1, 1).
@@ -391,7 +391,10 @@ def certificate_like(draw):
         "torsion": st.booleans(),
         "d": count,
         "k": count,
-        "J": st.lists(st.integers(min_value=-1, max_value=30), max_size=4),
+        "J": st.lists(st.integers(min_value=-1, max_value=30), max_size=4)
+        | st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=3).map(
+            lambda js: js + js[:1]
+        ),
         "preperiod": count,
         "period": count,
         "mu": st.lists(entry_values, max_size=4),
@@ -443,6 +446,8 @@ class TestUntrustedInputFuzz:
         except ValueError:
             return
         assert isinstance(result, TorsionCertificate)
+        if result.torsion:
+            assert len(result.J) == len(doc["J"])
 
 
 class TestParser:

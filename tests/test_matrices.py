@@ -1,5 +1,7 @@
 """Exact matrix arithmetic: pinned examples plus algebraic property tests."""
 
+import math
+import time
 from fractions import Fraction
 from random import Random
 
@@ -110,6 +112,79 @@ class TestConstruction:
         assert RatMatrix.scalar(2, 5) == RatMatrix([[5, 0], [0, 5]])
 
 
+def fraction_product(a, b):
+    """Row-times-column product of two lists of Fraction rows."""
+    return [
+        [sum([x * y for x, y in zip(row, col)], Fraction(0)) for col in zip(*b)]
+        for row in a
+    ]
+
+
+def assert_canonical(m, expected):
+    """m is one integer grid over a positive denominator in lowest terms, and
+    its rows are the Fraction grid expected."""
+    assert m.den >= 1
+    assert math.gcd(m.den, *[x for row in m.num for x in row]) == 1
+    assert all(type(x) is int for row in m.num for x in row)
+    assert all(type(e) is Fraction for row in m.rows for e in row)
+    assert m.rows == tuple([tuple(row) for row in expected])
+
+
+class TestCanonicalForm:
+    """Every result is num / den in lowest terms and reads back as the
+    Fraction arithmetic gives it."""
+
+    @given(
+        st.integers(min_value=1, max_value=5).flatmap(
+            lambda d: st.lists(
+                st.lists(mixed_entries, min_size=d, max_size=d), min_size=d, max_size=d
+            )
+        )
+    )
+    @settings(max_examples=60)
+    def test_constructor(self, grid):
+        assert_canonical(RatMatrix(grid), grid)
+
+    @given(matrix_pairs())
+    @settings(max_examples=60)
+    def test_mat_mul(self, pair):
+        a, b = pair
+        assert_canonical(mat_mul(a, b), fraction_product(a.rows, b.rows))
+
+    @given(mixed_matrices(max_order=3), st.integers(min_value=0, max_value=9))
+    @settings(max_examples=40)
+    def test_mat_pow(self, m, e):
+        expected = RatMatrix.identity(m.order).rows
+        for _ in range(e):
+            expected = fraction_product(expected, m.rows)
+        assert_canonical(mat_pow(m, e), expected)
+
+    @given(st.one_of(small_polys, int_polys), mixed_matrices(max_order=3))
+    @settings(max_examples=60)
+    def test_horner(self, p, m):
+        d = m.order
+        expected = [[Fraction(0)] * d for _ in range(d)]
+        power = RatMatrix.identity(d).rows
+        for c in p.coeffs:
+            for i in range(d):
+                for j in range(d):
+                    expected[i][j] += c * power[i][j]
+            power = fraction_product(power, m.rows)
+        assert_canonical(horner_matrix_eval(p, m), expected)
+
+    def test_equal_values_are_equal_matrices(self):
+        a = RatMatrix([["2/4"]])
+        b = RatMatrix([[Fraction(1, 2)]])
+        assert a == b and hash(a) == hash(b)
+        assert (a.num, a.den) == (((1,),), 2)
+        assert RatMatrix([[Fraction(3, 6), 1], [0, 2]]) == RatMatrix([["1/2", "2/2"], [0, "4/2"]])
+
+    def test_scaled_zero_has_denominator_one(self):
+        zero = RatMatrix([["1/3", 2], [0, "5/6"]]).scaled(0)
+        assert (zero.num, zero.den) == (((0, 0), (0, 0)), 1)
+        assert zero == RatMatrix.zeros(2)
+
+
 class TestMul:
     def test_identity_neutral(self):
         m = RatMatrix([[1, 2], [3, 4]])
@@ -165,9 +240,19 @@ class TestPow:
             mat_pow(ROTATION, -1)
 
     def test_huge_exponent_on_cyclic(self):
-        import math
-
         assert mat_pow(ROTATION, math.factorial(12)).is_identity()
+
+    def test_huge_exponent_on_rational_conjugate(self):
+        # S R S^-1 with R a quarter turn and S = [[1, 1/2], [0, 1]]: every
+        # power stays in lowest terms, so 100 squarings stay small.
+        m = RatMatrix([["1/2", "-5/4"], [1, "-1/2"]])
+        # A small exponent first: if powers left lowest terms, entries would
+        # double in length with each squaring and 10**30 would never finish.
+        assert mat_pow(m, 2**16) == RatMatrix.identity(2)
+        start = time.perf_counter()
+        assert mat_pow(m, 10**30 + 1) == m
+        assert time.perf_counter() - start < 0.5
+        assert mat_pow(m, 10**30) == RatMatrix.identity(2)
 
     @given(
         square_matrices(2),

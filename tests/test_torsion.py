@@ -219,6 +219,7 @@ class TestCertificate:
             ("mu", "z^2-1"),
             ("mu", [-1, 0, {}]),
             ("mu", ["1/0", 0, 1]),
+            ("J", [1, 2, 2]),
         ],
     )
     def test_from_data_refuses_malformed_field(self, field, value):
