@@ -31,6 +31,7 @@ from .numbertheory import (
     pi_poly_product,
     torsion_bound,
     totient,
+    totient_indices,
 )
 from .polynomials import (
     NEG_INFINITY,
@@ -74,6 +75,7 @@ __all__ = [
     "pi_poly_product",
     "torsion_bound",
     "totient",
+    "totient_indices",
     "NEG_INFINITY",
     "IntPoly",
     "RatPoly",

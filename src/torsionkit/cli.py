@@ -5,7 +5,8 @@ Matrix-taking subcommands read JSON (array of rows, entries integers or
 per line, whitespace-separated entries); number-theory subcommands take
 plain integers. Every output is a single JSON document on stdout,
 deterministic byte for byte. Exit status is 0 when a verdict was produced
-(whatever the verdict), 2 on bad input, 3 on an internal consistency fault.
+(whatever the verdict), 2 on bad input, 3 on an internal consistency fault,
+and 141 when stdout is closed before the output is written.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import functools
 import json
 import os
+import stat
 import sys
 from fractions import Fraction
 
@@ -40,15 +42,18 @@ from .torsion import (
 )
 
 
-def _parse_entry(token, row: int, col: int) -> Fraction:
-    # row and col are 1-based in every message.
+def _parse_entry(token, row: int, col: int) -> int | Fraction:
+    # row and col are 1-based in every message. A JSON integer is taken as
+    # it is, without building the message; bool is no int here.
+    if type(token) is int:
+        return token
     try:
         return read_rational(token, f"entry at ({row},{col})")
     except ValueError as err:
         raise MatrixParseError(str(err)) from None
 
 
-def _grid_to_matrix(grid: list[list[Fraction]]) -> RatMatrix:
+def _grid_to_matrix(grid: list[list[int | Fraction]]) -> RatMatrix:
     if not grid:
         raise MatrixParseError("matrix has no rows")
     width = len(grid[0])
@@ -103,23 +108,31 @@ def emit_matrix(m: RatMatrix, format: str = "json") -> str:
 
 def _read_matrix_arg(source: str, format: str) -> RatMatrix:
     # An existing file wins; "-" is stdin; anything else is inline payload.
+    # A payload that cannot be a path (too long for one, or holding a NUL)
+    # fails the stat like a missing file, as it does in os.path.exists.
     if source == "-":
         return parse_matrix(sys.stdin.read(), format)
-    if os.path.isdir(source):
+    try:
+        mode = os.stat(source).st_mode
+    except (OSError, ValueError):
+        return parse_matrix(source, format)
+    if stat.S_ISDIR(mode):
         raise MatrixParseError(f"matrix input is a directory: {source}")
-    if os.path.exists(source):
-        with open(source, "r", encoding="utf-8") as handle:
-            return parse_matrix(handle.read(), format)
-    return parse_matrix(source, format)
+    with open(source, "r", encoding="utf-8") as handle:
+        return parse_matrix(handle.read(), format)
 
 
 #: Largest argument each number-theory subcommand accepts, and the largest
 #: powers --cap. The work grows fast with the argument (a totient table of
 #: 2*D*D entries for bound, trial division up to sqrt(N) for totient, about
 #: N^2 coefficients for pi and nu, every stored power for --cap), so each
-#: is refused above a limit that takes under a second to serve. maxperiod
-#: has no entry: max_torsion_period refuses D > MAX_PERIOD_SEARCH_LIMIT
-#: itself before any work, with exit 2 like any other bad input.
+#: is refused above a limit. At its limit each number-theory subcommand
+#: takes under a second. The cap bounds only the exponent: the cost of
+#: powers also grows with the order and the entry size of the matrix, and
+#: an order-8 matrix with 2-digit entries takes seconds at the cap.
+#: maxperiod has no entry: max_torsion_period refuses
+#: D > MAX_PERIOD_SEARCH_LIMIT itself before any work, with exit 2 like any
+#: other bad input.
 ARGUMENT_LIMITS = {
     "pi": 100,
     "cyclotomic": 3000,
@@ -300,6 +313,11 @@ def run(args: argparse.Namespace) -> str:
     raise InternalConsistencyError(f"unhandled subcommand: {command}")
 
 
+#: Exit status when stdout is closed before the output is written: the
+#: status a shell reports for a process that SIGPIPE ended (128 + 13).
+EXIT_BROKEN_PIPE = 141
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -310,7 +328,15 @@ def main(argv: list[str] | None = None) -> int:
     except (MatrixParseError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    print(document)
+    try:
+        print(document)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone (as after `| head`). Point stdout at devnull so
+        # that the flush at interpreter exit does not fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     return 0
 
 

@@ -26,7 +26,7 @@ from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .errors import InternalConsistencyError
-from .polynomials import IntPoly, RatPoly, read_rational
+from .polynomials import IntPoly, RatPoly, _primitive_list, read_rational
 
 EntryLike = Union[int, Fraction]
 
@@ -326,22 +326,29 @@ def minimal_polynomial(m: RatMatrix) -> RatPoly:
     """
     d = m.order
     a, s = m.num, m.den
-    mu = IntPoly.one()
+    mu = [1]  # coefficients of mu_A so far, low to high
     for i in range(d):
         # u = mu(A) e_i by Horner, the leading coefficient first.
         u = [0] * d
-        u[i] = mu.coeffs[-1]
-        for c in reversed(mu.coeffs[:-1]):
+        u[i] = mu[-1]
+        for c in reversed(mu[:-1]):
             u = _mat_vec(a, u)
             u[i] += c
         if any(u):
-            mu = (mu * IntPoly(_krylov_annihilator(a, u))).primitive()
-            if mu.degree == d:
+            r = _krylov_annihilator(a, u)
+            # mu is still 1 at the first nonzero u, and 1 * r is r.
+            if len(mu) > 1:
+                r = (IntPoly(mu) * IntPoly(r)).coeffs
+            mu = _primitive_list(r)
+            if len(mu) > d:
                 break
     # mu_M(z) = mu_A(s*z) / (lead * s^n): coefficient j is mu[j] / (lead * s^(n-j)).
-    top = mu.coeffs[-1]
+    # An integer matrix has a monic mu_A in Z[z], which is mu_M itself.
+    top = mu[-1]
+    if s == 1 and top == 1:
+        return RatPoly(mu)
     coeffs = []
-    for c in reversed(mu.coeffs):
+    for c in reversed(mu):
         coeffs.append(Fraction(c, top))
         top *= s
     coeffs.reverse()

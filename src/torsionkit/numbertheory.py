@@ -177,11 +177,29 @@ def pi_poly_gcd(n: int) -> IntPoly:
     return pi
 
 
+@functools.cache
+def totient_indices(d: int) -> tuple[tuple[int, int], ...]:
+    """Every (j, phi(j)) with phi(j) <= d, in ascending j.
+
+    These are the cyclotomics gamma_j that fit in a d-by-d matrix. Scanning
+    j <= 2*d*d suffices because phi(j) >= sqrt(j/2): beyond that range the
+    totient already exceeds d. One totient sieve builds the list, which is
+    memoised per order for the life of the process;
+    ``totient_indices.cache_clear()`` empties the memo.
+
+    >>> totient_indices(2)
+    ((1, 1), (2, 1), (3, 2), (4, 2), (6, 2))
+    """
+    if d < 1:
+        raise ValueError(f"totient_indices is defined for positive d, got {d}")
+    phi = TotientTable.up_to(2 * d * d).values
+    return tuple([(j, phi[j]) for j in range(1, len(phi)) if phi[j] <= d])
+
+
 def torsion_bound(d: int) -> int:
     """Least n such that phi(m) > d for every m > n.
 
-    Scanning m <= 2*d*d suffices because phi(m) >= sqrt(m/2): beyond that
-    range the totient already exceeds d. Consequently the result is at most
+    This is the last index of :func:`totient_indices`, so it is at most
     2*d*d.
 
     >>> [torsion_bound(d) for d in (1, 2, 4)]
@@ -189,8 +207,7 @@ def torsion_bound(d: int) -> int:
     """
     if d < 1:
         raise ValueError(f"torsion_bound is defined for positive d, got {d}")
-    table = TotientTable.up_to(2 * d * d)
-    return max(m for m in range(1, table.limit + 1) if table[m] <= d)
+    return totient_indices(d)[-1][0]
 
 
 #: max_torsion_period explores subsets of totient-bounded indices; past this
@@ -221,13 +238,12 @@ def max_torsion_period(d: int) -> tuple[int, frozenset[int]]:
         raise ValueError(
             f"max_torsion_period supports d <= {MAX_PERIOD_SEARCH_LIMIT}, got {d}"
         )
-    table = TotientTable.up_to(2 * d * d)
     # Index 1 never helps: it costs budget and leaves the lcm unchanged.
-    candidates = [j for j in range(2, table.limit + 1) if table[j] <= d]
     # Best value per unit cost first, for both the search and the bound.
-    candidates.sort(key=lambda j: -math.log(j) / table[j])
-    logs = [math.log(j) for j in candidates]
-    costs = [table[j] for j in candidates]
+    candidates, costs, logs = zip(*sorted(
+        [(j, phi, math.log(j)) for j, phi in totient_indices(d)[1:]],
+        key=lambda item: -item[2] / item[1],
+    ))
 
     best_period = 1
     best_log = 0.0

@@ -32,22 +32,29 @@ NEG_INFINITY = float("-inf")
 CoeffLike = Union[int, Fraction]
 
 
-def read_rational(value, what: str) -> Fraction:
+def read_rational(value, what: str) -> int | Fraction:
     """An exact number from untrusted input: an int, or a "p/q" or decimal string.
 
+    An int is returned as it is, and a string as a
+    :class:`~fractions.Fraction`, so integer input never pays for one.
     Refuses bool and float (not exact), every other type, and strings in
     exponent notation, which :class:`~fractions.Fraction` would expand in
     full before any size limit applies ("1e999999999" has a billion
     digits). Every refusal is a ValueError whose message names ``what``.
 
+    >>> read_rational(-3, "entry")
+    -3
     >>> read_rational("-3/6", "entry"), read_rational("0.25", "entry")
     (Fraction(-1, 2), Fraction(1, 4))
     """
+    # bool is a subclass of int, so it is refused before ints are let through.
     if isinstance(value, (bool, float)):
         raise ValueError(f"non-exact {what}: {value!r}")
-    if not isinstance(value, (int, str)):
+    if isinstance(value, int):
+        return value
+    if not isinstance(value, str):
         raise ValueError(f"malformed {what}: {value!r}")
-    if isinstance(value, str) and ("e" in value or "E" in value):
+    if "e" in value or "E" in value:
         raise ValueError(f"exponent notation not accepted in {what}: {value!r}")
     try:
         return Fraction(value)
@@ -185,26 +192,30 @@ class _DensePoly:
             return self
         return type(self)((self._zero,) * k + self.coeffs)
 
-    def _divide(self, other) -> tuple[list, list]:
-        """Long division: quotient and remainder coefficient lists.
+    @classmethod
+    def _divide(cls, a: Sequence, b: Sequence) -> tuple[list, list]:
+        """Long division of coefficient sequences: quotient and remainder lists.
 
-        self = q*other + r with deg r < deg other. Each quotient coefficient
-        is the subclass's ``_quotient_step`` of a remainder coefficient by
-        the leading coefficient of ``other``.
+        a = q*b + r with deg r < deg b, for canonical coefficients of the
+        class's type. Each quotient coefficient is the class's
+        ``_quotient_step`` of a remainder coefficient by the leading
+        coefficient of ``b``, or that remainder coefficient itself when
+        ``b`` is monic. The quotient is canonical as it stands; the
+        remainder may end in zeros.
         """
-        if not other.coeffs:
+        if not b:
             raise ZeroDivisionError("polynomial division by the zero polynomial")
-        db = len(other.coeffs) - 1
-        lb = other.coeffs[-1]
-        step = self._quotient_step
-        rem = list(self.coeffs)
-        # Empty when deg self < deg other: then the remainder is self.
-        quo = [self._zero] * (len(rem) - db)
+        db = len(b) - 1
+        lb = b[-1]
+        step = None if lb == 1 else cls._quotient_step
+        rem = list(a)
+        # Empty when deg a < deg b: then the remainder is a.
+        quo = [cls._zero] * (len(rem) - db)
         for k in range(len(quo) - 1, -1, -1):
-            c = step(rem[k + db], lb)
+            c = rem[k + db] if step is None else step(rem[k + db], lb)
             if c:
                 quo[k] = c
-                for i, bc in enumerate(other.coeffs):
+                for i, bc in enumerate(b):
                     rem[k + i] -= c * bc
         return quo, rem[:db]
 
@@ -255,7 +266,7 @@ class RatPoly(_DensePoly):
         """
         if not isinstance(other, RatPoly):
             return NotImplemented
-        quo, rem = self._divide(other)
+        quo, rem = self._divide(self.coeffs, other.coeffs)
         return RatPoly(quo), RatPoly(rem)
 
     def __mod__(self, other: RatPoly) -> RatPoly:
@@ -319,7 +330,7 @@ class IntPoly(_DensePoly):
         """
         if not isinstance(other, IntPoly):
             return NotImplemented
-        quo, rem = self._divide(other)
+        quo, rem = self._divide(self.coeffs, other.coeffs)
         return IntPoly(quo), IntPoly(rem)
 
     def exact_div(self, other: IntPoly) -> IntPoly:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import InternalConsistencyError
 from .matrices import RatMatrix, horner_matrix_eval, mat_mul, mat_pow, minimal_polynomial
-from .numbertheory import cyclotomic, pi_poly_product, torsion_bound, totient
+from .numbertheory import cyclotomic, pi_poly_product, torsion_bound, totient, totient_indices
 from .polynomials import IntPoly, RatPoly
 
 
@@ -164,24 +164,28 @@ def torsion_certificate(m: RatMatrix) -> TorsionCertificate:
     k = next(i for i, c in enumerate(mu.coeffs) if c)
     if any(c.denominator != 1 for c in mu.coeffs):
         return TorsionCertificate(False, d, k, None, k, None, mu)
-    rem = IntPoly([c.numerator for c in mu.coeffs[k:]])
+    # mu / z**k as a coefficient list. Each gamma_j that divides it leaves
+    # its quotient list in its place; no polynomial object is built.
+    rem = [c.numerator for c in mu.coeffs[k:]]
     indices = []
-    for j in range(1, torsion_bound(d) + 1):
-        if rem.degree == 0:
+    degree = k
+    for j, phi in totient_indices(d):
+        if len(rem) == 1:
             break
-        if totient(j) > rem.degree:
+        if phi >= len(rem):
             continue
-        quotient, leftover = divmod(rem, cyclotomic(j))
-        if leftover.is_zero():
+        quotient, leftover = IntPoly._divide(rem, cyclotomic(j).coeffs)
+        if not any(leftover):
             indices.append(j)
+            degree += phi
             rem = quotient
-    if rem != IntPoly.one():
+    if rem != [1]:
         return TorsionCertificate(False, d, k, None, k, None, mu)
-    J = frozenset(indices)
-    if k + sum(totient(j) for j in J) != mu.degree:
+    if degree != mu.degree:
         raise InternalConsistencyError(
             "cyclotomic factor degrees do not add up to the minimal polynomial degree"
         )
+    J = frozenset(indices)
     period = math.lcm(*J) if J else 1
     return TorsionCertificate(True, d, k, J, k, period, mu)
 

@@ -1,10 +1,14 @@
 """Command-line surface: parsing, documents, exit codes, round trips."""
 
+import errno
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -33,6 +37,12 @@ class TestParseMatrix:
 
     def test_json_plain_integers(self):
         assert cli.parse_matrix("[[1,2],[3,4]]") == RatMatrix([[1, 2], [3, 4]])
+
+    def test_json_integers_stay_integers(self):
+        m = cli.parse_matrix("[[1,-2],[0,30]]")
+        assert m.den == 1 and m.num == ((1, -2), (0, 30))
+        assert m == cli.parse_matrix('[["1","-2"],["0","30"]]')
+        assert m == cli.parse_matrix('[["2/2","-2.0"],["0/7","60/2"]]')
 
     def test_ragged_row(self):
         with pytest.raises(MatrixParseError, match="ragged row 2"):
@@ -237,6 +247,47 @@ class TestExitCodes:
     def test_directory_as_matrix_is_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "decide", str(tmp_path))
         assert code == 2
+        assert err == f"error: matrix input is a directory: {tmp_path}\n"
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [("[[true]]", "non-exact entry at (1,1): True"), ("[[1.0]]", "non-exact entry at (1,1): 1.0")],
+    )
+    def test_bool_and_float_entries_are_2(self, capsys, payload, message):
+        code, out, err = run_cli(capsys, "decide", payload)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_payload_too_long_for_a_path_is_read_inline(self, capsys):
+        # The 10-cycle permutation matrix, 320 bytes: stat fails with
+        # ENAMETOOLONG, which means "not a file", as os.path.exists has it.
+        payload = json.dumps([[int(i == (j + 1) % 10) for j in range(10)] for i in range(10)])
+        with pytest.raises(OSError) as exc:
+            os.stat(payload)
+        assert exc.value.errno == errno.ENAMETOOLONG
+        code, out, err = run_cli(capsys, "decide", payload)
+        assert (code, out, err) == (0, '{"torsion": true, "preperiod": 0, "period": 10}\n', "")
+
+    def test_payload_with_nul_is_read_inline(self, capsys):
+        with pytest.raises(ValueError):
+            os.stat("[[1]]\x00")
+        code, out, err = run_cli(capsys, "decide", "[[1]]\x00")
+        assert (code, out) == (2, "")
+        assert err == "error: not valid JSON: Extra data: line 1 column 6 (char 5)\n"
+
+    @pytest.mark.parametrize("argv", [["decide", "[[0,-1],[1,0]]"], ["pi", "100"]])
+    def test_closed_pipe_exits_141_without_traceback(self, argv):
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "torsionkit.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (cli.EXIT_BROKEN_PIPE, b"")
 
     @pytest.mark.parametrize(
         "field, value", [("torsion", "false"), ("d", 2.9), ("J", "12"), ("J", [1, 2, 2])]

@@ -102,6 +102,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             RatMatrix([])
 
+    def test_int_entries_need_no_fraction(self):
+        m = RatMatrix([[1, -2], [0, 3]])
+        assert m.den == 1
+        assert m.num == ((1, -2), (0, 3))
+        assert all(type(x) is int for row in m.num for x in row)
+        assert m == RatMatrix([[Fraction(1), Fraction(-2)], [Fraction(0), Fraction(3)]])
+        assert m == RatMatrix([[Fraction(2, 2), -2], [0, Fraction(9, 3)]])
+
     def test_entries_canonical(self):
         m = RatMatrix([[Fraction(2, 4)]])
         assert m[0, 0] == Fraction(1, 2)

@@ -18,6 +18,7 @@ from torsionkit.numbertheory import (
     pi_poly_product,
     torsion_bound,
     totient,
+    totient_indices,
 )
 from torsionkit.polynomials import IntPoly
 
@@ -225,6 +226,20 @@ class TestTorsionBound:
         # every m beyond n has totient exceeding d; checking to 4d^2+16 covers
         # the whole region where the totient could still be small
         assert all(totient(m) > d for m in range(n + 1, 4 * d * d + 16))
+
+
+class TestTotientIndices:
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_matches_brute_force(self, d):
+        expected = tuple(
+            (j, brute_totient(j)) for j in range(1, 2 * d * d + 1) if brute_totient(j) <= d
+        )
+        assert totient_indices(d) == expected
+        assert torsion_bound(d) == expected[-1][0]
+
+    def test_zero_rejected(self):
+        with pytest.raises(ValueError):
+            totient_indices(0)
 
 
 class TestMaxPeriod:

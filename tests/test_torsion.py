@@ -183,6 +183,61 @@ class TestCertificate:
             if c.torsion:
                 assert verify_certificate(e.matrix, c), e.name
 
+    def test_trial_division_builds_no_polynomial(self, monkeypatch):
+        corpus = get_corpus()
+        expected = [torsion_certificate(e.matrix) for e in corpus]  # fills the cyclotomic memo
+
+        def refuse(*args):
+            raise AssertionError("trial division built an IntPoly quotient and remainder")
+
+        monkeypatch.setattr(IntPoly, "__divmod__", refuse)
+        assert [torsion_certificate(e.matrix) for e in corpus] == expected
+
+    def test_minimal_polynomial_once_per_certificate(self, monkeypatch):
+        calls = []
+        original = torsion_module.minimal_polynomial
+
+        def counting(m):
+            calls.append(m)
+            return original(m)
+
+        monkeypatch.setattr(torsion_module, "minimal_polynomial", counting)
+        matrices = [
+            RatMatrix([[Fraction(1, 2)]]),  # mu has a non-integer coefficient
+            RatMatrix([[0, -2], [Fraction(1, 2), 0]]),  # integer mu, den > 1
+            ROTATION,
+            NILPOTENT,
+            UNIPOTENT,
+            RatMatrix([[2, 1], [1, 1]]),
+        ]
+        for m in matrices:
+            calls.clear()
+            torsion_certificate(m)
+            assert calls == [m]
+
+    @pytest.mark.parametrize(
+        "rows, document",
+        [
+            # mu = z - 1/2 answers non-torsion before any trial division.
+            ([["1/2"]], '{"torsion": false, "d": 1, "k": 0, "preperiod": 0, "mu": ["-1/2", 1]}'),
+            # Rational conjugates of rotations: den > 1, integer mu.
+            (
+                [[0, -2], ["1/2", 0]],
+                '{"torsion": true, "d": 2, "k": 0, "J": [4], "preperiod": 0, '
+                '"period": 4, "mu": [1, 0, 1]}',
+            ),
+            (
+                [[1, "-2/3"], ["3/2", 0]],
+                '{"torsion": true, "d": 2, "k": 0, "J": [6], "preperiod": 0, '
+                '"period": 6, "mu": [1, -1, 1]}',
+            ),
+        ],
+    )
+    def test_rational_matrix_documents_pinned(self, rows, document):
+        m = RatMatrix([[Fraction(e) for e in row] for row in rows])
+        assert m.den > 1
+        assert json.dumps(torsion_certificate(m).to_data()) == document
+
     def test_data_round_trip_torsion(self):
         c = torsion_certificate(GAMMA6_COMPANION)
         doc = c.to_data()
