@@ -8,8 +8,14 @@ sequences of the standard basis vectors. No floating point anywhere.
 A matrix is stored as one grid of integers over one common denominator,
 in lowest terms, so products, powers and Horner steps run on plain
 integers and build no Fraction; entries are read back as reduced
-Fractions through :attr:`RatMatrix.rows` for output. The minimal
-polynomial works on the integer grid directly and needs only
+Fractions through :attr:`RatMatrix.rows` for output. A product is built
+row by row: a row of the left factor with at least half zeros sums the
+rows of the right factor it picks, and a denser row takes dot products
+(see :func:`mat_mul`). Where the other factor is a polynomial in M, and
+so commutes with it, M goes on the left, since the matrices met in
+practice (permutations, rational conjugates of block rotations) are
+sparse; Horner steps, binary powering and the cycle walks all do this.
+The minimal polynomial works on the integer grid directly and needs only
 matrix-vector products, never a matrix product. Tuples on these paths
 are built from lists, never from generators: CPython grows a
 generator-built tuple from a 10-slot buffer and parks the freed small
@@ -22,7 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from itertools import repeat
+from operator import add, mul, sub
 from typing import Iterable, Sequence, Union
 
 from .errors import InternalConsistencyError
@@ -204,40 +211,77 @@ def _lowest_terms(num: Sequence[Sequence[int]], den: int) -> RatMatrix:
 def mat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     """Exact matrix product; orders must match.
 
-    An entry is one integer dot product of a row of ``a.num`` with a
-    column of ``b.num``; the result is over ``a.den * b.den``, with one
-    gcd over the grid to bring it to lowest terms.
+    Row i of the integer grid is built by one of two methods, chosen by
+    how many zeros row i of ``a.num`` holds. A row with at least half
+    zeros sums the rows of ``b.num`` that its nonzero entries pick, each
+    times its entry, so a zero entry costs nothing and an entry of 1 or
+    -1 costs one addition or subtraction per column (Gustavson's
+    row-by-row sparse product). A denser row takes one integer dot
+    product with each column of ``b.num``. The result is over ``a.den *
+    b.den``, with one gcd over the grid to bring it to lowest terms.
+    Callers put the sparser factor on the left: where the other factor is
+    a polynomial in M, the two commute, and M goes first.
+
+    >>> mat_mul(RatMatrix([[0, 1], [1, 0]]), RatMatrix([[1, 2], [3, 4]]))
+    RatMatrix([[3, 4], [1, 2]])
     """
     if a.order != b.order:
         raise ValueError(f"order mismatch: {a.order} vs {b.order}")
-    cols = list(zip(*b.num))
-    return _lowest_terms(
-        [tuple([sum(map(mul, row, col)) for col in cols]) for row in a.num],
-        a.den * b.den,
-    )
+    d = a.order
+    bnum = b.num
+    cols = None
+    out = []
+    for row in a.num:
+        if 2 * row.count(0) >= d:
+            acc = None
+            for x, brow in zip(row, bnum):
+                if not x:
+                    continue
+                if acc is None:
+                    acc = brow if x == 1 else list(map(mul, brow, repeat(x)))
+                elif x == 1:
+                    acc = list(map(add, acc, brow))
+                elif x == -1:
+                    acc = list(map(sub, acc, brow))
+                else:
+                    acc = list(map(add, acc, map(mul, brow, repeat(x))))
+            out.append([0] * d if acc is None else acc)
+        else:
+            if cols is None:
+                cols = list(zip(*bnum))
+            out.append([sum(map(mul, row, col)) for col in cols])
+    return _lowest_terms(out, a.den * b.den)
 
 
 def mat_pow(m: RatMatrix, e: int) -> RatMatrix:
     """M**e by binary powering; e may be an arbitrarily large non-negative int.
+
+    The bits of e are read from the top: each step squares, and a 1 bit
+    then multiplies by M on the left, where the row-wise product gains
+    most from a sparse M. That is ``(e.bit_length() - 1) + (popcount(e)
+    - 1)`` products for e >= 1, with no product by the identity.
 
     >>> mat_pow(RatMatrix([[0, -1], [1, 0]]), 4).is_identity()
     True
     """
     if e < 0:
         raise ValueError("matrix powers require a non-negative exponent")
-    result = RatMatrix.identity(m.order)
-    base = m
-    while e:
-        if e & 1:
-            result = mat_mul(result, base)
-        if e > 1:
-            base = mat_mul(base, base)
-        e >>= 1
+    if e == 0:
+        return RatMatrix.identity(m.order)
+    result = m
+    for bit in bin(e)[3:]:
+        result = mat_mul(result, result)
+        if bit == "1":
+            result = mat_mul(m, result)
     return result
 
 
 def horner_matrix_eval(p: IntPoly | RatPoly, m: RatMatrix) -> RatMatrix:
     """p(M) by Horner's scheme: one product per coefficient.
+
+    Each step computes ``M @ acc``, with M on the left: acc is a
+    polynomial in M, so the two commute, and the row-wise product of
+    :func:`mat_mul` skips the zeros of a sparse M.
 
     Each nonzero coefficient c is added straight onto the diagonal of the
     integer grid. An integer c adds ``c * den``, which leaves the grid in
@@ -250,7 +294,7 @@ def horner_matrix_eval(p: IntPoly | RatPoly, m: RatMatrix) -> RatMatrix:
     """
     acc = RatMatrix.zeros(m.order)
     for c in reversed(p.coeffs):
-        acc = mat_mul(acc, m)
+        acc = mat_mul(m, acc)
         if c:
             cd = c.denominator
             shift = c.numerator * acc.den

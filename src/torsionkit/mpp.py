@@ -66,5 +66,5 @@ def search_matrix_power(a: RatMatrix, b: RatMatrix, cap: int) -> int | None:
         if power == b:
             return n
         if n < cap:
-            power = mat_mul(power, a)
+            power = mat_mul(a, power)
     return None

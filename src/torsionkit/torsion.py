@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import InternalConsistencyError
 from .matrices import RatMatrix, horner_matrix_eval, mat_mul, mat_pow, minimal_polynomial
-from .numbertheory import cyclotomic, pi_poly_product, torsion_bound, totient, totient_indices
+from .numbertheory import cyclotomic, pi_poly_product, torsion_bound, totient_indices
 from .polynomials import IntPoly, RatPoly
 
 
@@ -224,10 +224,11 @@ def verify_certificate(m: RatMatrix, c: TorsionCertificate) -> VerifyOutcome:
         return VerifyOutcome(False, "preperiod mismatch")
     # The rebuilt annihilator has degree k + sum(phi(j)) and deg(mu) <= d,
     # so a claim with k > d, some phi(j) > d or a wrong degree sum is refused
-    # before anything is built. phi(j) >= sqrt(j/2) puts every j > 2*d*d out
-    # of reach without factoring it.
-    d = m.order
-    if any(j > 2 * d * d for j in c.J) or c.k + sum(totient(j) for j in c.J) != c.mu.degree:
+    # before anything is built. phi(j) is read from the memoised table of
+    # every index with phi(j) <= d; an index missing from it has phi(j) > d
+    # and is refused without being factored.
+    phi = dict(totient_indices(m.order))
+    if any(j not in phi for j in c.J) or c.k + sum(phi[j] for j in c.J) != c.mu.degree:
         return VerifyOutcome(False, "mu mismatch")
     rebuilt = IntPoly.one().shifted(c.k)
     for j in sorted(c.J):
@@ -247,11 +248,15 @@ def verify_certificate(m: RatMatrix, c: TorsionCertificate) -> VerifyOutcome:
 def oracle_cycle_detect(m: RatMatrix, cap: int) -> tuple[int, int] | None:
     """First (p, q) with p < q <= cap and M^p = M^q, by brute force.
 
-    Walks M, M^2, ..., M^cap, keying a lookup table by each power itself:
-    a matrix is one integer grid over one denominator in lowest terms, so
-    equal powers have equal keys, and no entry is ever turned into a
-    string. Finding nothing within cap proves nothing; this exists to
-    check the clever methods on small instances, not to decide.
+    Walks M, M^2, ..., M^cap as ``M @ M^(e-1)``, keeping only the hash of
+    each power: a matrix is one integer grid over one denominator in
+    lowest terms, so equal powers have equal hashes, and no entry is ever
+    turned into a string. A power whose hash was seen before is compared
+    with M^p, recomputed by :func:`mat_pow`, for each earlier exponent p
+    under that hash, so a hash collision cannot give a false answer and
+    memory holds one power at a time. Finding nothing within cap proves
+    nothing; this exists to check the clever methods on small instances,
+    not to decide.
 
     >>> oracle_cycle_detect(RatMatrix([[0, -1], [1, 0]]), 10)
     (1, 5)
@@ -260,13 +265,15 @@ def oracle_cycle_detect(m: RatMatrix, cap: int) -> tuple[int, int] | None:
     """
     if cap < 1:
         raise ValueError(f"cap must be positive, got {cap}")
-    seen: dict[RatMatrix, int] = {}
+    seen: dict[int, list[int]] = {}
     power = RatMatrix.identity(m.order)
     for e in range(1, cap + 1):
-        power = mat_mul(power, m)
-        if power in seen:
-            return seen[power], e
-        seen[power] = e
+        power = mat_mul(m, power)
+        exponents = seen.setdefault(hash(power), [])
+        for p in exponents:
+            if mat_pow(m, p) == power:
+                return p, e
+        exponents.append(e)
     return None
 
 

@@ -93,6 +93,47 @@ def matrix_triples(draw):
     return RatMatrix(draw(grid)), RatMatrix(draw(grid)), RatMatrix(draw(grid))
 
 
+# Rows for the two methods of mat_mul: a row with at least half zeros is
+# summed from rows of the right factor, a denser one takes dot products.
+ROW_SHAPES = ("zero", "sparse", "signs", "threshold", "below threshold", "dense")
+
+
+@st.composite
+def shaped_rows(draw, d, entries):
+    shape = draw(st.sampled_from(ROW_SHAPES))
+    half = (d + 1) // 2  # the fewest zeros that make a row sparse
+    zeros = {
+        "zero": d,
+        "sparse": draw(st.integers(min_value=half, max_value=d)),
+        "signs": draw(st.integers(min_value=0, max_value=d)),
+        "threshold": half,
+        "below threshold": max(half - 1, 0),
+        "dense": draw(st.integers(min_value=0, max_value=max(half - 1, 0))),
+    }[shape]
+    values = st.sampled_from([Fraction(1), Fraction(-1)]) if shape == "signs" else entries
+    positions = draw(st.permutations(range(d)))
+    row = [Fraction(0)] * d
+    for j in positions[zeros:]:
+        row[j] = draw(values.filter(bool))
+    return row
+
+
+integer_entries = st.fractions(min_value=-9, max_value=9, max_denominator=1)
+
+
+@st.composite
+def shaped_pairs(draw):
+    """Pairs up to order 12 whose left factor mixes every row shape; either
+    factor may be integral or carry a denominator."""
+    d = draw(st.integers(min_value=1, max_value=12))
+
+    def grid():
+        entries = draw(st.sampled_from([integer_entries, mixed_entries]))
+        return RatMatrix([draw(shaped_rows(d, entries)) for _ in range(d)])
+
+    return grid(), grid()
+
+
 class TestConstruction:
     def test_square_enforced(self):
         with pytest.raises(ValueError):
@@ -231,6 +272,21 @@ class TestMul:
         a, b, c = triple
         assert mat_mul(mat_mul(a, b), c) == mat_mul(a, mat_mul(b, c))
 
+    @given(shaped_pairs())
+    @settings(max_examples=80)
+    def test_row_shapes_match_textbook_product(self, pair):
+        a, b = pair
+        assert_canonical(mat_mul(a, b), textbook_mat_mul(a, b).rows)
+
+    def test_row_shapes_pinned(self):
+        # Rows of a: all zero; one 1, which picks row 2 of b; -1 and 1; 3
+        # and -2. Each has at least two zeros in four.
+        a = RatMatrix([[0, 0, 0, 0], [0, 0, 1, 0], [-1, 0, 0, 1], [3, 0, -2, 0]])
+        b = RatMatrix([[1, 2, 3, 4], ["1/2", 0, 0, 1], [0, 5, 0, "-3/2"], [7, 0, 1, 0]])
+        assert mat_mul(a, b) == RatMatrix(
+            [[0, 0, 0, 0], [0, 5, 0, "-3/2"], [6, -2, -2, -4], [3, -4, 9, 15]]
+        )
+
 
 class TestPow:
     def test_zeroth_power(self):
@@ -270,6 +326,33 @@ class TestPow:
     @settings(max_examples=40)
     def test_exponent_additivity(self, m, a, b):
         assert mat_pow(m, a + b) == mat_mul(mat_pow(m, a), mat_pow(m, b))
+
+    # e = 0, 1, 2^k - 1 (every bit set) and 2^k (squarings only).
+    EDGE_EXPONENTS = [0, 1] + [e for k in range(1, 6) for e in (2**k - 1, 2**k)]
+
+    @given(mixed_matrices(max_order=4), st.sampled_from(EDGE_EXPONENTS))
+    @settings(max_examples=60)
+    def test_matches_repeated_products(self, m, e):
+        expected = RatMatrix.identity(m.order)
+        for _ in range(e):
+            expected = textbook_mat_mul(expected, m)
+        assert mat_pow(m, e) == expected
+
+    def test_product_count(self, monkeypatch):
+        calls = []
+
+        def counting_mat_mul(a, b):
+            calls.append(1)
+            return mat_mul(a, b)
+
+        monkeypatch.setattr(matrices_module, "mat_mul", counting_mat_mul)
+        # A rational conjugate of a quarter turn: its powers stay small.
+        m = RatMatrix([["1/2", "-5/4"], [1, "-1/2"]])
+        for e in self.EDGE_EXPONENTS + [6, 10, 97, 2**20 + 1, math.factorial(12)]:
+            calls.clear()
+            mat_pow(m, e)
+            expected = (e.bit_length() - 1) + (bin(e).count("1") - 1) if e else 0
+            assert len(calls) == expected, e
 
 
 class TestHorner:

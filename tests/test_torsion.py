@@ -1,11 +1,13 @@
 """The decision procedures and certificate machinery."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
 import pytest
 
+import torsionkit.numbertheory as numbertheory_module
 import torsionkit.torsion as torsion_module
 from torsionkit.matrices import (
     RatMatrix,
@@ -15,7 +17,13 @@ from torsionkit.matrices import (
     mat_mul,
     mat_pow,
 )
-from torsionkit.numbertheory import cyclotomic, pi_poly_product, torsion_bound, totient
+from torsionkit.numbertheory import (
+    cyclotomic,
+    pi_poly_product,
+    torsion_bound,
+    totient,
+    totient_indices,
+)
 from torsionkit.polynomials import IntPoly, RatPoly
 from torsionkit.torsion import (
     TorsionCertificate,
@@ -332,10 +340,11 @@ class TestVerify:
 
     @pytest.fixture
     def record_builds(self, monkeypatch):
-        """Once called, records every cyclotomic, totient and shift torsion asks for."""
+        """Once called, records every cyclotomic, totient table, factored
+        totient and shift that verification asks for."""
 
         def start():
-            log = {"cyclotomic": [], "totient": [], "shifted": []}
+            log = {"cyclotomic": [], "orders": [], "totient": [], "shifted": []}
             original_shifted = IntPoly.shifted
 
             # Each spy refuses work too large to finish, so that a missing
@@ -346,6 +355,12 @@ class TestVerify:
                     raise AssertionError(f"verify set out to build gamma_{n}")
                 return cyclotomic(n, *args)
 
+            def recording_totient_indices(d):
+                log["orders"].append(d)
+                return totient_indices(d)
+
+            # Factoring by trial division lives in numbertheory.totient;
+            # nothing verify reaches may call it on a claimed index.
             def recording_totient(n):
                 log["totient"].append(n)
                 if n > 10**6:
@@ -359,7 +374,8 @@ class TestVerify:
                 return original_shifted(self, k)
 
             monkeypatch.setattr(torsion_module, "cyclotomic", recording_cyclotomic)
-            monkeypatch.setattr(torsion_module, "totient", recording_totient)
+            monkeypatch.setattr(torsion_module, "totient_indices", recording_totient_indices)
+            monkeypatch.setattr(numbertheory_module, "totient", recording_totient)
             monkeypatch.setattr(IntPoly, "shifted", recording_shifted)
             return log
 
@@ -370,16 +386,17 @@ class TestVerify:
         built = record_builds()
         outcome = verify_certificate(ROTATION, tampered(c, J=frozenset({4, 55440})))
         assert not outcome and outcome.reason == "mu mismatch"
-        assert all(j <= torsion_bound(2) for j in built["cyclotomic"])
-        assert built["shifted"] == []
+        assert built["orders"] == [2]
+        assert built["cyclotomic"] == [] and built["shifted"] == []
 
     def test_huge_prime_index_refused_before_factoring(self, record_builds):
-        # Trial division would need about 1.5e9 steps to find phi(2^61 - 1).
+        # Trial division would need about 1.5e9 steps to find phi(2^61 - 1);
+        # the index is missing from the order-2 table, so nothing factors it.
         c = torsion_certificate(ROTATION)
         built = record_builds()
         outcome = verify_certificate(ROTATION, tampered(c, J=frozenset({4, 2**61 - 1})))
         assert not outcome and outcome.reason == "mu mismatch"
-        assert all(j <= 2 * 2 * 2 for j in built["totient"])
+        assert built["orders"] == [2] and built["totient"] == []
         assert built["cyclotomic"] == [] and built["shifted"] == []
 
     def test_huge_preperiod_refused_before_shifting(self, record_builds):
@@ -451,6 +468,32 @@ class TestOracle:
         for e in get_corpus():
             cap = max(e.preperiod, 1) + e.period + 1 if e.torsion else 12
             assert oracle_cycle_detect(e.matrix, cap) == string_keyed(e.matrix, cap), e.name
+
+    def test_hash_collisions_give_the_same_answer(self, monkeypatch):
+        # With every power under one hash, each is compared with every
+        # earlier power by value, and the answer must not change.
+        sample = Random(7).sample(get_corpus(), 30)
+        caps = [max(e.preperiod, 1) + e.period + 1 if e.torsion else 12 for e in sample]
+        expected = [oracle_cycle_detect(e.matrix, cap) for e, cap in zip(sample, caps)]
+        assert any(expected) and not all(expected)
+        monkeypatch.setattr(torsion_module, "hash", lambda m: 0, raising=False)
+        for e, cap, answer in zip(sample, caps, expected):
+            assert oracle_cycle_detect(e.matrix, cap) == answer, e.name
+
+    def test_memory_holds_one_power_at_a_time(self):
+        # Keeping every power of this matrix up to the 1000th took about
+        # 32 MiB of traced memory; its hashes take a small fraction of that.
+        rng = Random(8)
+        m = RatMatrix(
+            [[rng.choice((-1, 1)) * rng.randint(10, 99) for _ in range(8)] for _ in range(8)]
+        )
+        tracemalloc.start()
+        try:
+            assert oracle_cycle_detect(m, 1000) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_entries_past_the_digit_limit(self):
         # 10^5000 has 5001 decimal digits, past CPython's 4300-digit limit
