@@ -31,6 +31,7 @@ from .numbertheory import (
     pi_poly_product,
     torsion_bound,
     totient,
+    totient_index_map,
     totient_indices,
 )
 from .polynomials import (
@@ -75,6 +76,7 @@ __all__ = [
     "pi_poly_product",
     "torsion_bound",
     "totient",
+    "totient_index_map",
     "totient_indices",
     "NEG_INFINITY",
     "IntPoly",

@@ -125,8 +125,8 @@ def _read_matrix_arg(source: str, format: str) -> RatMatrix:
 #: Largest argument each number-theory subcommand accepts, and the largest
 #: powers --cap. The work grows fast with the argument (a totient table of
 #: 2*D*D entries for bound, trial division up to sqrt(N) for totient, about
-#: N^2 coefficients for pi and nu, one matrix product per exponent for
-#: --cap), so each is refused above a limit. At its limit each
+#: N^2 coefficients for pi and nu, one matrix product and one digest per
+#: exponent for --cap), so each is refused above a limit. At its limit each
 #: number-theory subcommand takes under a second. The cap bounds only the
 #: exponent: the cost of powers also grows with the order and the entry
 #: size of the matrix, and an order-8 matrix with 2-digit entries takes

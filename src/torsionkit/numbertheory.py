@@ -14,6 +14,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 from .errors import InternalConsistencyError
 from .polynomials import IntPoly, int_gcd
@@ -194,6 +196,20 @@ def totient_indices(d: int) -> tuple[tuple[int, int], ...]:
         raise ValueError(f"totient_indices is defined for positive d, got {d}")
     phi = TotientTable.up_to(2 * d * d).values
     return tuple([(j, phi[j]) for j in range(1, len(phi)) if phi[j] <= d])
+
+
+@functools.cache
+def totient_index_map(d: int) -> Mapping[int, int]:
+    """phi(j) keyed by j, for every j with phi(j) <= d.
+
+    The same pairs as :func:`totient_indices`, as a read-only mapping
+    memoised per order, so a lookup costs no table build and no
+    factoring. An index missing from it has phi(j) > d.
+
+    >>> dict(totient_index_map(2))
+    {1: 1, 2: 1, 3: 2, 4: 2, 6: 2}
+    """
+    return MappingProxyType(dict(totient_indices(d)))
 
 
 def torsion_bound(d: int) -> int:

@@ -17,12 +17,19 @@ They must always agree; the certificate is independently checkable by
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 from .errors import InternalConsistencyError
 from .matrices import RatMatrix, horner_matrix_eval, mat_mul, mat_pow, minimal_polynomial
-from .numbertheory import cyclotomic, pi_poly_product, torsion_bound, totient_indices
+from .numbertheory import (
+    cyclotomic,
+    pi_poly_product,
+    torsion_bound,
+    totient_index_map,
+    totient_indices,
+)
 from .polynomials import IntPoly, RatPoly
 
 
@@ -224,10 +231,10 @@ def verify_certificate(m: RatMatrix, c: TorsionCertificate) -> VerifyOutcome:
         return VerifyOutcome(False, "preperiod mismatch")
     # The rebuilt annihilator has degree k + sum(phi(j)) and deg(mu) <= d,
     # so a claim with k > d, some phi(j) > d or a wrong degree sum is refused
-    # before anything is built. phi(j) is read from the memoised table of
+    # before anything is built. phi(j) is read from the memoised map of
     # every index with phi(j) <= d; an index missing from it has phi(j) > d
     # and is refused without being factored.
-    phi = dict(totient_indices(m.order))
+    phi = totient_index_map(m.order)
     if any(j not in phi for j in c.J) or c.k + sum(phi[j] for j in c.J) != c.mu.degree:
         return VerifyOutcome(False, "mu mismatch")
     rebuilt = IntPoly.one().shifted(c.k)
@@ -245,18 +252,38 @@ def verify_certificate(m: RatMatrix, c: TorsionCertificate) -> VerifyOutcome:
     return VerifyOutcome(True)
 
 
+def _power_digest(m: RatMatrix) -> bytes:
+    """A 16-byte BLAKE2b digest of the denominator and every entry.
+
+    Each integer goes in as its byte length and then its signed bytes, so
+    the encoding is one-to-one and no entry is turned into a string. The
+    built-in ``hash`` of an int is its value modulo 2**61 - 1, which an
+    input can steer (every power of ``[[2**61]]`` hashes alike); a digest
+    it cannot.
+    """
+    # Imported here, not at the top: hashlib loads OpenSSL, which adds
+    # about 4 MiB to the resident size of every process that imports it.
+    from hashlib import blake2b
+
+    h = blake2b(digest_size=16)
+    for x in (m.den, *itertools.chain.from_iterable(m.num)):
+        size = (x.bit_length() + 8) // 8
+        h.update(size.to_bytes(8, "big"))
+        h.update(x.to_bytes(size, "big", signed=True))
+    return h.digest()
+
+
 def oracle_cycle_detect(m: RatMatrix, cap: int) -> tuple[int, int] | None:
     """First (p, q) with p < q <= cap and M^p = M^q, by brute force.
 
-    Walks M, M^2, ..., M^cap as ``M @ M^(e-1)``, keeping only the hash of
-    each power: a matrix is one integer grid over one denominator in
-    lowest terms, so equal powers have equal hashes, and no entry is ever
-    turned into a string. A power whose hash was seen before is compared
-    with M^p, recomputed by :func:`mat_pow`, for each earlier exponent p
-    under that hash, so a hash collision cannot give a false answer and
-    memory holds one power at a time. Finding nothing within cap proves
-    nothing; this exists to check the clever methods on small instances,
-    not to decide.
+    Walks M, M^2, ..., M^cap as ``M @ M^(e-1)``, keeping only a digest of
+    each power (see :func:`_power_digest`): a matrix is one integer grid
+    over one denominator in lowest terms, so equal powers have equal
+    digests. A power whose digest was seen before is compared with M^p,
+    recomputed by :func:`mat_pow`, for each earlier exponent p under that
+    digest, so a collision cannot give a false answer, and memory holds
+    one power at a time. Finding nothing within cap proves nothing; this
+    exists to check the clever methods on small instances, not to decide.
 
     >>> oracle_cycle_detect(RatMatrix([[0, -1], [1, 0]]), 10)
     (1, 5)
@@ -265,11 +292,11 @@ def oracle_cycle_detect(m: RatMatrix, cap: int) -> tuple[int, int] | None:
     """
     if cap < 1:
         raise ValueError(f"cap must be positive, got {cap}")
-    seen: dict[int, list[int]] = {}
+    seen: dict[bytes, list[int]] = {}
     power = RatMatrix.identity(m.order)
     for e in range(1, cap + 1):
         power = mat_mul(m, power)
-        exponents = seen.setdefault(hash(power), [])
+        exponents = seen.setdefault(_power_digest(power), [])
         for p in exponents:
             if mat_pow(m, p) == power:
                 return p, e

@@ -18,6 +18,7 @@ from torsionkit.numbertheory import (
     pi_poly_product,
     torsion_bound,
     totient,
+    totient_index_map,
     totient_indices,
 )
 from torsionkit.polynomials import IntPoly
@@ -240,6 +241,14 @@ class TestTotientIndices:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             totient_indices(0)
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 12])
+    def test_map_is_the_same_pairs_memoised(self, d):
+        phi = totient_index_map(d)
+        assert dict(phi) == dict(totient_indices(d))
+        assert totient_index_map(d) is phi
+        with pytest.raises(TypeError):
+            phi[10**9] = 1  # type: ignore[index]
 
 
 class TestMaxPeriod:

@@ -1,6 +1,7 @@
 """The decision procedures and certificate machinery."""
 
 import json
+import time
 import tracemalloc
 from fractions import Fraction
 from random import Random
@@ -22,7 +23,7 @@ from torsionkit.numbertheory import (
     pi_poly_product,
     torsion_bound,
     totient,
-    totient_indices,
+    totient_index_map,
 )
 from torsionkit.polynomials import IntPoly, RatPoly
 from torsionkit.torsion import (
@@ -355,9 +356,9 @@ class TestVerify:
                     raise AssertionError(f"verify set out to build gamma_{n}")
                 return cyclotomic(n, *args)
 
-            def recording_totient_indices(d):
+            def recording_totient_index_map(d):
                 log["orders"].append(d)
-                return totient_indices(d)
+                return totient_index_map(d)
 
             # Factoring by trial division lives in numbertheory.totient;
             # nothing verify reaches may call it on a claimed index.
@@ -374,7 +375,7 @@ class TestVerify:
                 return original_shifted(self, k)
 
             monkeypatch.setattr(torsion_module, "cyclotomic", recording_cyclotomic)
-            monkeypatch.setattr(torsion_module, "totient_indices", recording_totient_indices)
+            monkeypatch.setattr(torsion_module, "totient_index_map", recording_totient_index_map)
             monkeypatch.setattr(numbertheory_module, "totient", recording_totient)
             monkeypatch.setattr(IntPoly, "shifted", recording_shifted)
             return log
@@ -469,20 +470,43 @@ class TestOracle:
             cap = max(e.preperiod, 1) + e.period + 1 if e.torsion else 12
             assert oracle_cycle_detect(e.matrix, cap) == string_keyed(e.matrix, cap), e.name
 
-    def test_hash_collisions_give_the_same_answer(self, monkeypatch):
-        # With every power under one hash, each is compared with every
+    def test_digest_collisions_give_the_same_answer(self, monkeypatch):
+        # With every power under one digest, each is compared with every
         # earlier power by value, and the answer must not change.
         sample = Random(7).sample(get_corpus(), 30)
         caps = [max(e.preperiod, 1) + e.period + 1 if e.torsion else 12 for e in sample]
         expected = [oracle_cycle_detect(e.matrix, cap) for e, cap in zip(sample, caps)]
         assert any(expected) and not all(expected)
-        monkeypatch.setattr(torsion_module, "hash", lambda m: 0, raising=False)
+        monkeypatch.setattr(torsion_module, "_power_digest", lambda m: b"")
         for e, cap, answer in zip(sample, caps, expected):
             assert oracle_cycle_detect(e.matrix, cap) == answer, e.name
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[2**61]],  # every power hashes like [[1]] under the built-in hash
+            [[2]],  # the built-in hash of 2^e repeats every 61 exponents
+            [[1, 2**61 - 1], [0, 1]],  # every power hashes like the identity
+        ],
+    )
+    def test_builtin_hash_collisions_cost_no_recomputation(self, monkeypatch, rows):
+        # Powers that collide under the built-in hash of ints get distinct
+        # digests, so no earlier power is recomputed: keyed on hash(power),
+        # [[2^61]] at cap 5000 set out on about 12.5M such recomputations.
+        # The spy fails at the first one rather than let the walk run on.
+        def refuse(m, e):
+            raise AssertionError(f"recomputed M^{e} on a false hit")
+
+        m = RatMatrix(rows)
+        assert hash(m) in {hash(mat_pow(m, 2)), hash(mat_pow(m, 62))}
+        monkeypatch.setattr(torsion_module, "mat_pow", refuse)
+        start = time.perf_counter()
+        assert oracle_cycle_detect(m, 5000) is None
+        assert time.perf_counter() - start < 20  # about 0.3 s on a 2-CPU host
+
     def test_memory_holds_one_power_at_a_time(self):
         # Keeping every power of this matrix up to the 1000th took about
-        # 32 MiB of traced memory; its hashes take a small fraction of that.
+        # 32 MiB of traced memory; its digests take a small fraction of that.
         rng = Random(8)
         m = RatMatrix(
             [[rng.choice((-1, 1)) * rng.randint(10, 99) for _ in range(8)] for _ in range(8)]
